@@ -3,16 +3,18 @@
 // sockets with a modeled storage device.
 //
 // Two cells on identical strided list-I/O work and an identical device
-// model (store_seek_us + store_us_per_mib, charged per contiguous store
-// access on both paths):
-//   sync-baseline    flows off, blocking Write/ReadList, classic
-//                    transport: every op serializes network, service and
-//                    device time end to end.
-//   pipelined-flows  flows on, multiplexed transport, nonblocking
-//                    Read/WriteListAsync with a bounded in-flight window:
-//                    the daemons run Serve concurrently and stream each
-//                    request through AsyncStore in bounded segments, so
-//                    device intervals overlap across and within requests.
+// model (store_seek_us + store_us_per_mib, charged per flow segment in
+// both cells):
+//   sync-baseline    window-1 flows (segments inline on the serving
+//                    thread), blocking Write/ReadList, classic transport:
+//                    every op serializes network, service and device time
+//                    end to end.
+//   pipelined-flows  window-4 flows on a store-worker pool, multiplexed
+//                    transport, nonblocking Read/WriteListAsync with a
+//                    bounded in-flight window: the daemons run Serve
+//                    concurrently and stream each request through
+//                    AsyncStore in bounded segments, so device intervals
+//                    overlap across and within requests.
 //
 // Acceptance (exit nonzero on violation, so the CI smoke run doubles as
 // a regression gate): both cells read back bit-identical, and pipelined
@@ -55,16 +57,14 @@ struct Shape {
   }
 };
 
-/// The modeled device both cells pay per contiguous store access. Large
-/// enough to dominate loopback TCP noise, so the measured ratio reflects
-/// pipeline overlap, not socket jitter.
-ServerConfig DeviceModel(bool flows) {
+/// The modeled device both cells pay per flow segment. Large enough to
+/// dominate loopback TCP noise, so the measured ratio reflects pipeline
+/// overlap, not socket jitter.
+ServerConfig DeviceModel(bool pipelined) {
   ServerConfig config;
-  config.schedule_fragments = true;  // both cells run the coalesced plan
   config.store_seek_us = 1'000;
   config.store_us_per_mib = 8'000;
-  config.flows = flows;
-  if (flows) {
+  if (pipelined) {
     config.flow_segment_bytes = 16 * 1024;  // several segments per request
     config.flow_inflight = 4;
     config.store_workers = 8;
@@ -163,7 +163,7 @@ CellResult RunStreamingCell(SocketCluster& cluster, Client& client,
           .count();
   result.verified = readback == golden;
   for (std::uint32_t s = 0; s < kStriping.pcount; ++s) {
-    result.flow_segments += cluster.iod(s).stats().flow_segments;
+    result.flow_segments += cluster.iod(s).stats().store_ops;
     result.flow_stall_us += cluster.iod(s).stats().flow_stall_us;
   }
   return result;
@@ -207,7 +207,7 @@ int main(int argc, char** argv) {
   bool ok = true;
   double sync_mbs = 0, piped_mbs = 0;
 
-  // ---- sync baseline: flows off, blocking ops ---------------------------
+  // ---- sync baseline: window-1 flows, blocking ops ----------------------
   {
     auto cluster = SocketCluster::Start(kStriping.pcount, DeviceModel(false), 0);
     if (!cluster.ok()) return 1;
@@ -226,7 +226,7 @@ int main(int argc, char** argv) {
     json.Row(CellJson("sync-baseline", r, shape));
   }
 
-  // ---- pipelined: flows on, mux transport, async ops --------------------
+  // ---- pipelined: window-4 flows, mux transport, async ops -------------
   {
     auto cluster = SocketCluster::Start(kStriping.pcount, DeviceModel(true), 0);
     if (!cluster.ok()) return 1;

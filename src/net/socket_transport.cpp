@@ -327,9 +327,9 @@ void SocketServer::WorkerLoop() {
     {
       // By default the daemons are externally synchronized: one service
       // call at a time per server, exactly as the thread-per-connection
-      // transport guaranteed. A flows daemon synchronizes internally
-      // (ServerConfig::flows), so its options drop the mutex and service
-      // calls overlap.
+      // transport guaranteed. An iod with a flow window above 1
+      // (ServerConfig::flow_inflight) drops the mutex and service calls
+      // overlap.
       std::unique_lock lock(service_mutex_, std::defer_lock);
       if (options_.serialize_service) lock.lock();
       if (admission_ != nullptr) admission_->BeginService(w.slot);
@@ -533,9 +533,10 @@ SocketCluster::SocketCluster(std::uint32_t server_count,
 SocketServer::Options SocketCluster::IodServerOptions(ServerId s) const {
   SocketServer::Options options;
   options.worker_threads = config_.transport_workers;
-  // A flows daemon is internally synchronized (atomic stats, locked
-  // store): let the transport run its Serve calls concurrently.
-  options.serialize_service = !config_.flows;
+  // The daemon is internally synchronized (atomic stats, locked store,
+  // owned intents): a window above 1 lets the transport run its Serve
+  // calls concurrently.
+  options.serialize_service = config_.flow_inflight <= 1;
   options.correlate_responses = true;
   options.registry = registry_;
   options.metric_labels = {{"server", std::to_string(s)}};

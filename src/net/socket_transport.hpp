@@ -63,8 +63,9 @@ class SocketServer {
     /// so extra workers overlap framing/correlation work with service,
     /// not service with itself.
     std::uint32_t worker_threads = 2;
-    /// Run at most one service call at a time. Turned off for daemons
-    /// whose service is internally synchronized (ServerConfig::flows),
+    /// Run at most one service call at a time. An iod's service is
+    /// internally synchronized, so SocketCluster turns this off when the
+    /// daemon's flow window is above 1 (ServerConfig::flow_inflight),
     /// letting the workers run Serve concurrently so in-flight requests
     /// overlap each other's device time.
     bool serialize_service = true;

@@ -33,15 +33,15 @@ inline constexpr ByteCount kDefaultSieveBufferBytes = 32 * kMiB;
 /// page fetch does not fan out across the whole cluster.
 inline constexpr ByteCount kDefaultCachePageBytes = 64 * 1024;
 
-/// Per-I/O-daemon service configuration (docs/server-scheduling.md).
+/// Per-I/O-daemon service configuration (docs/server-scheduling.md,
+/// docs/async-flows.md).
 ///
-/// `schedule_fragments` is the executed-path twin of the simulator's
-/// `SimClusterConfig::server_coalesces_entries` knob: both default to the
-/// 2002 behaviour (one store access per owned trailing-data entry, walked
-/// in logical order) and both, when enabled, sort the owned fragments by
-/// local offset and merge adjacent/overlapping ones into single accesses —
-/// the paper's §5 "more intelligent scheduling of the data movement at the
-/// server".
+/// Every request runs one data path: its fragments are sorted and merged
+/// into a run plan (the paper's §5 "more intelligent scheduling of the
+/// data movement at the server"), and a flow moves the runs between the
+/// store and the wire payload in bounded segments. The simulator keeps
+/// the 2002 one-access-per-entry behaviour as its
+/// `SimClusterConfig::server_coalesces_entries` ablation.
 ///
 /// `max_queue_depth` bounds the daemon's admission queue on the threaded
 /// and TCP transports: a request arriving while `max_queue_depth` requests
@@ -50,33 +50,30 @@ inline constexpr ByteCount kDefaultCachePageBytes = 64 * 1024;
 /// historical unbounded queue.
 struct ServerConfig {
   std::uint32_t max_list_regions = kMaxListRegions;
-  bool schedule_fragments = false;
   std::uint32_t max_queue_depth = 0;
   /// Worker threads draining the TCP event loop's request queue
-  /// (net::SocketServer::Options::worker_threads). With `flows` off,
-  /// service stays serialized per daemon and workers only overlap framing
-  /// with service; with `flows` on, the workers run Serve concurrently.
+  /// (net::SocketServer::Options::worker_threads). At window 1 service
+  /// stays serialized per daemon and workers only overlap framing with
+  /// service; with a wider window the workers run Serve concurrently.
   std::uint32_t transport_workers = 2;
 
-  // ---- Async I/O pipeline (docs/async-flows.md) ----
+  // ---- Flow pipeline (docs/async-flows.md) ----
   //
-  // `flows` turns on bounded-segment pipelining: each request's coalesced
-  // runs stream through the daemon's AsyncStore in segments of at most
-  // `flow_segment_bytes`, at most `flow_inflight` in flight per request,
-  // and the TCP transport stops serializing service so in-flight requests
-  // overlap each other's network and device time. Default off — fig09-17
-  // and every 2002-faithful path are bit-identical with flows off.
-  bool flows = false;
+  // Each request's runs move in segments of at most `flow_segment_bytes`,
+  // at most `flow_inflight` in flight per request. Window 1 (the default)
+  // runs segments inline on the serving thread, one after another: the
+  // synchronous iod. A wider window runs them on `store_workers` threads
+  // and lets the TCP transport overlap in-flight requests' network and
+  // device time.
   ByteCount flow_segment_bytes = 256 * 1024;
-  std::uint32_t flow_inflight = 4;
-  /// Store-worker threads executing submitted segments (the device queue
-  /// depth the pipeline can exploit).
+  std::uint32_t flow_inflight = 1;
+  /// Store-worker threads executing segments when `flow_inflight` > 1
+  /// (the device queue depth the pipeline can exploit).
   std::uint32_t store_workers = 2;
 
-  // Modeled device time, charged per contiguous store access on BOTH the
-  // synchronous and the flow path (pvfs/store_async.hpp): `store_seek_us`
-  // positioning cost plus `store_us_per_mib` transfer cost. Defaults 0 =
-  // no modeling, preserving historical timing exactly.
+  // Modeled device time, charged once per flow segment
+  // (pvfs/store_async.hpp): `store_seek_us` positioning cost plus
+  // `store_us_per_mib` transfer cost. Defaults 0 = no modeling.
   std::uint64_t store_seek_us = 0;
   std::uint64_t store_us_per_mib = 0;
 };

@@ -92,21 +92,18 @@ Status FlowRead(AsyncStore& store, FileHandle handle,
       });
 }
 
-Status FlowWrite(AsyncStore& store, FileHandle handle,
-                 std::span<const ScheduledRun> runs,
-                 std::span<const std::byte> scratch, const FlowConfig& config,
-                 FlowStats& stats) {
+void FlowWrite(AsyncStore& store, LocalStore::IntentId intent,
+               std::span<const ScheduledRun> runs, const FlowConfig& config,
+               FlowStats& stats) {
   const std::vector<FlowSegment> segments =
       CutSegments(runs, config.segment_bytes);
   stats.segments += segments.size();
   AsyncStore::CompletionQueue cq;
-  return RunPipeline(
+  // Applies cannot fail: every completion is Ok.
+  (void)RunPipeline(
       cq, segments.size(), config.max_inflight, stats, [&](std::size_t i) {
         const FlowSegment& seg = segments[i];
-        std::vector<LocalStore::WritePiece> pieces;
-        pieces.push_back(
-            {seg.offset, scratch.subspan(seg.buf_offset, seg.length)});
-        store.SubmitWrite(cq, i, handle, std::move(pieces));
+        store.SubmitApply(cq, i, intent, seg.buf_offset, seg.length);
       });
 }
 

@@ -2,24 +2,29 @@
 // PVFS2 flows concept (SNIPPETS.md Snippet 1, `concepts.tex`): "a
 // datapath is divided into segments that are individually moved in a
 // pipelined fashion so that network and storage stay concurrently busy".
+// It is the only way an iod moves file data between its wire payload and
+// its store.
 //
 // A flow takes the coalesced run plan of one list-I/O request (see
 // src/pvfs/scheduler) and cuts the runs into segments of at most
 // `segment_bytes`, keeping at most `max_inflight` segments submitted to
-// the daemon's AsyncStore at any moment. For writes, the request payload
-// has already been staged run-ordered in scratch; segments stream from
-// scratch into journaled store intents. For reads, segments stream store
-// bytes into scratch, which the daemon then scatters into the wire
-// payload. Because every in-flight request runs its own flow against a
-// shared store-worker pool (and the epoll transport overlaps request
-// receive/response transmit with service when ServerConfig::flows is
-// on), network and device intervals of different segments — and of
-// different requests — proceed concurrently instead of strictly in
-// series.
+// the daemon's AsyncStore at any moment. For reads, segments stream store
+// bytes into run-ordered scratch, which the daemon then scatters into the
+// wire payload. For writes, the daemon has already gathered the payload
+// run-ordered and staged it as ONE journaled intent; segments land parts
+// of that intent, and the daemon commits it after the last one, so a
+// crash anywhere in the flow replays or rolls back the whole request.
+//
+// Window 1 (the default) is the synchronous iod: its AsyncStore has no
+// workers, so each segment executes inline on the serving thread. A wider
+// window runs segments on the store-worker pool every in-flight request
+// shares, and the epoll transport stops serializing service, so network
+// and device intervals of different segments — and of different
+// requests — proceed concurrently instead of strictly in series.
 //
 // Error handling: a flow always drains every submitted segment before
-// returning (buffers are borrowed from the caller's stack), then reports
-// the first segment error in run order.
+// returning (buffers are borrowed from the caller), then reports the
+// first segment error in run order.
 #pragma once
 
 #include <cstdint>
@@ -37,7 +42,7 @@ struct FlowConfig {
   /// Largest contiguous byte range moved per segment.
   ByteCount segment_bytes = 256 * 1024;
   /// Most segments submitted-but-incomplete at once (the pipeline window).
-  std::uint32_t max_inflight = 4;
+  std::uint32_t max_inflight = 1;
 };
 
 /// What one flow did, accumulated into iod stats / iod.flow.* metrics.
@@ -54,14 +59,12 @@ Status FlowRead(AsyncStore& store, FileHandle handle,
                 std::span<std::byte> scratch, const FlowConfig& config,
                 FlowStats& stats);
 
-/// Pipeline journaled store writes of `runs` out of run-ordered `scratch`.
-/// Each segment is one write intent; a crash mid-flow leaves a prefix of
-/// segments durable, each internally replay-or-rollback consistent
-/// (coarser single-intent atomicity is the synchronous path's; see
-/// docs/async-flows.md).
-Status FlowWrite(AsyncStore& store, FileHandle handle,
-                 std::span<const ScheduledRun> runs,
-                 std::span<const std::byte> scratch, const FlowConfig& config,
-                 FlowStats& stats);
+/// Pipeline the segments of staged write `intent` into the store. The
+/// intent's pieces are `runs` and its data is run-ordered, so a segment's
+/// scratch position is its position in the intent. The caller commits
+/// (or, on an injected crash, abandons) the intent afterwards.
+void FlowWrite(AsyncStore& store, LocalStore::IntentId intent,
+               std::span<const ScheduledRun> runs, const FlowConfig& config,
+               FlowStats& stats);
 
 }  // namespace pvfs

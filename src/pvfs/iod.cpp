@@ -1,13 +1,11 @@
 #include "pvfs/iod.hpp"
 
-#include <chrono>
+#include <algorithm>
 #include <cstring>
 #include <string>
-#include <thread>
 
 #include "common/request_id.hpp"
 #include "obs/span.hpp"
-#include "pvfs/flow.hpp"
 
 namespace pvfs {
 
@@ -20,18 +18,25 @@ void RaiseMax(std::atomic<std::uint64_t>& mark, std::uint64_t seen) {
   }
 }
 
-}  // namespace
-
-void IoDaemon::ChargeDeviceTime(std::uint64_t accesses,
-                                ByteCount bytes) const {
-  const std::uint64_t us = config_.store_seek_us * accesses +
-                           config_.store_us_per_mib * bytes / kMiB;
-  if (us > 0) std::this_thread::sleep_for(std::chrono::microseconds(us));
+/// The part of a run plan holding its first `bytes` run-ordered bytes:
+/// what reaches the store before an injected mid-write crash.
+std::vector<ScheduledRun> RunsPrefix(std::span<const ScheduledRun> runs,
+                                     ByteCount bytes) {
+  std::vector<ScheduledRun> out;
+  for (ScheduledRun run : runs) {
+    if (run.buf_offset >= bytes) break;
+    run.length = std::min(run.length, bytes - run.buf_offset);
+    out.push_back(run);
+  }
+  return out;
 }
 
+}  // namespace
+
 void IoDaemon::RecoverStore() {
-  // Concurrent callers are safe: NeedsRecovery/Recover lock the store, and
-  // a second Recover after the first finds nothing uncommitted (benign).
+  // Concurrent callers are safe: NeedsRecovery/Recover lock the store,
+  // skip intents a live request still owns, and a second Recover after
+  // the first finds nothing left to do.
   if (!store_.NeedsRecovery()) return;
   LocalStore::RecoveryStats rec = store_.Recover();
   stats_.journal_replays += rec.replayed;
@@ -45,6 +50,12 @@ LocalStore::ScrubStats IoDaemon::Scrub() {
   stats_.scrub_corruptions += scrub.corrupt_chunks;
   stats_.scrub_repairs += scrub.repaired_chunks;
   return scrub;
+}
+
+void IoDaemon::CountFlow(const FlowStats& flow) {
+  stats_.store_ops += flow.segments;
+  RaiseMax(stats_.flow_inflight_peak, flow.peak_inflight);
+  stats_.flow_stall_us += flow.stall_us;
 }
 
 Result<IoResponse> IoDaemon::Serve(const IoRequest& req) {
@@ -81,16 +92,18 @@ Result<IoResponse> IoDaemon::Serve(const IoRequest& req) {
   ByteCount my_bytes = 0;
   for (const Fragment& f : mine) my_bytes += f.length;
 
-  // Plan the coalesced local runs — the disk accesses a scheduling iod
-  // makes. The plan is built on an offset-SORTED view of the fragments, so
-  // `local_accesses` matches the paper's coalesced-disk-access model even
-  // for cyclic patterns whose logical walk revisits lower local offsets
-  // (counting in logical order over-counted those). With
-  // `schedule_fragments` off the daemon still executes one store access
-  // per fragment, 2002-style; the plan is then accounting only.
+  // Plan the coalesced local runs on an offset-SORTED view of the
+  // fragments, so cyclic patterns whose logical walk revisits lower local
+  // offsets still merge. Bytes move run-ordered through `scratch`; the
+  // gather/scatter below goes through the original fragment order, so the
+  // wire layout is the logical walk and overlapping write fragments keep
+  // last-writer-wins semantics.
   const RunPlan plan = BuildRunPlan(mine);
   stats_.local_accesses += plan.runs.size();
-  const bool scheduled = config_.schedule_fragments;
+  const auto scratch_of = [&](std::size_t i) {
+    const ScheduledRun& run = plan.runs[plan.run_of[i]];
+    return run.buf_offset + (mine[i].local_offset - run.offset);
+  };
 
   // Transient disk error injection: fail before touching the store so the
   // stripe is never half-written by a request that reported failure.
@@ -102,14 +115,10 @@ Result<IoResponse> IoDaemon::Serve(const IoRequest& req) {
                        " error on iod " + std::to_string(id_));
   }
 
-  // Flow pipelining (docs/async-flows.md): execute through the run plan in
-  // bounded segments on the shared store-worker pool. The scatter/gather
-  // between scratch and the wire payload is the scheduled path's, so the
-  // wire layout is identical either way.
-  const bool flow_path = config_.flows && async_store_ != nullptr;
   const FlowConfig flow_config{config_.flow_segment_bytes,
                                config_.flow_inflight};
-
+  FlowStats flow;
+  std::vector<std::byte> scratch(plan.total_bytes);
   IoResponse resp;
   if (req.op == IoOp::kRead) {
     // Stored-data rot injection: flip one bit at rest before serving, so
@@ -118,62 +127,19 @@ Result<IoResponse> IoDaemon::Serve(const IoRequest& req) {
       fault::RotFault rot = fault_->OnStoredRead(id_);
       if (rot.rot) (void)store_.CorruptStoredBit(rot.selector);
     }
+    Status read = FlowRead(async_store_, req.handle, plan.runs, scratch,
+                           flow_config, flow);
+    CountFlow(flow);
+    if (!read.ok()) {
+      ++stats_.corruptions_detected;
+      return read;
+    }
     resp.payload.resize(my_bytes);
-    if (scheduled || flow_path) {
-      // One store read per merged run (flow: per bounded segment of a
-      // run), then scatter run bytes back into the payload through the
-      // original fragment order so the wire layout is identical to the
-      // unscheduled path.
-      std::vector<std::byte> scratch(plan.total_bytes);
-      if (flow_path) {
-        FlowStats fstats;
-        Status read = FlowRead(*async_store_, req.handle, plan.runs,
-                               scratch, flow_config, fstats);
-        stats_.flow_segments += fstats.segments;
-        RaiseMax(stats_.flow_inflight_peak, fstats.peak_inflight);
-        stats_.flow_stall_us += fstats.stall_us;
-        stats_.store_ops += fstats.segments;
-        if (!read.ok()) {
-          ++stats_.corruptions_detected;
-          return read;
-        }
-      } else {
-        ChargeDeviceTime(plan.runs.size(), plan.total_bytes);
-        for (const ScheduledRun& run : plan.runs) {
-          Status read = store_.Read(
-              req.handle, run.offset,
-              std::span{scratch}.subspan(run.buf_offset, run.length));
-          if (!read.ok()) {
-            ++stats_.corruptions_detected;
-            return read;
-          }
-        }
-        stats_.store_ops += plan.runs.size();
-      }
-      ByteCount cursor = 0;
-      for (std::size_t i = 0; i < mine.size(); ++i) {
-        const Fragment& f = mine[i];
-        const ScheduledRun& run = plan.runs[plan.run_of[i]];
-        std::memcpy(resp.payload.data() + cursor,
-                    scratch.data() + run.buf_offset +
-                        (f.local_offset - run.offset),
-                    f.length);
-        cursor += f.length;
-      }
-    } else {
-      ChargeDeviceTime(mine.size(), my_bytes);
-      ByteCount cursor = 0;
-      for (const Fragment& f : mine) {
-        Status read = store_.Read(
-            req.handle, f.local_offset,
-            std::span{resp.payload}.subspan(cursor, f.length));
-        if (!read.ok()) {
-          ++stats_.corruptions_detected;
-          return read;
-        }
-        cursor += f.length;
-      }
-      stats_.store_ops += mine.size();
+    ByteCount cursor = 0;
+    for (std::size_t i = 0; i < mine.size(); ++i) {
+      std::memcpy(resp.payload.data() + cursor, scratch.data() + scratch_of(i),
+                  mine[i].length);
+      cursor += mine[i].length;
     }
     resp.bytes = my_bytes;
     stats_.bytes_read += my_bytes;
@@ -186,72 +152,47 @@ Result<IoResponse> IoDaemon::Serve(const IoRequest& req) {
                            std::to_string(my_bytes) + ", got " +
                            std::to_string(req.payload.size()));
   }
-  std::vector<LocalStore::WritePiece> pieces;
-  std::vector<std::byte> scratch;
-  ByteCount intent_bytes = my_bytes;
-  if (scheduled || flow_path) {
-    // Gather payload bytes into per-run scratch in the original fragment
-    // order (so overlapping fragments keep last-writer-wins semantics,
-    // exactly as sequential per-fragment pieces would), then write one
-    // journaled piece per merged run.
-    scratch.resize(plan.total_bytes);
-    ByteCount cursor = 0;
-    for (std::size_t i = 0; i < mine.size(); ++i) {
-      const Fragment& f = mine[i];
-      const ScheduledRun& run = plan.runs[plan.run_of[i]];
-      std::memcpy(scratch.data() + run.buf_offset +
-                      (f.local_offset - run.offset),
-                  req.payload.data() + cursor, f.length);
-      cursor += f.length;
-    }
-    pieces.reserve(plan.runs.size());
-    for (const ScheduledRun& run : plan.runs) {
-      pieces.push_back(
-          {run.offset, std::span{scratch}.subspan(run.buf_offset,
-                                                  run.length)});
-    }
-    intent_bytes = plan.total_bytes;
-  } else {
-    pieces.reserve(mine.size());
-    ByteCount cursor = 0;
-    for (const Fragment& f : mine) {
-      pieces.push_back({f.local_offset,
-                        std::span{req.payload}.subspan(cursor, f.length)});
-      cursor += f.length;
-    }
+  ByteCount cursor = 0;
+  for (std::size_t i = 0; i < mine.size(); ++i) {
+    std::memcpy(scratch.data() + scratch_of(i), req.payload.data() + cursor,
+                mine[i].length);
+    cursor += mine[i].length;
   }
-  // Torn-write injection: the daemon "crashes" partway through applying
-  // this intent and refuses calls until its scheduled restart, when
-  // Serve's recovery pass replays or rolls the intent back.
-  if (fault_ != nullptr) {
-    fault::TornWriteFault torn = fault_->OnStoredWrite(id_);
-    if (torn.torn) {
-      ++stats_.torn_writes;
-      store_.WriteVTorn(req.handle, pieces,
-                        intent_bytes * torn.keep_permille / 1000,
-                        torn.torn_journal);
-      return Unavailable("iod " + std::to_string(id_) +
-                         " crashed mid-write (injected torn write)");
-    }
+  std::vector<Extent> pieces;
+  pieces.reserve(plan.runs.size());
+  for (const ScheduledRun& run : plan.runs) {
+    pieces.push_back({run.offset, run.length});
   }
-  if (flow_path) {
-    // Pipeline the runs out of scratch in bounded segments, one journaled
-    // intent per segment (docs/async-flows.md discusses the atomicity
-    // granularity trade).
-    FlowStats fstats;
-    Status wrote = FlowWrite(*async_store_, req.handle, plan.runs, scratch,
-                             flow_config, fstats);
-    stats_.flow_segments += fstats.segments;
-    RaiseMax(stats_.flow_inflight_peak, fstats.peak_inflight);
-    stats_.flow_stall_us += fstats.stall_us;
-    stats_.store_ops += fstats.segments;
-    if (!wrote.ok()) return wrote;
-  } else {
-    // One journaled intent covers every fragment of this request.
-    ChargeDeviceTime(pieces.size(), intent_bytes);
-    store_.WriteV(req.handle, pieces);
-    stats_.store_ops += pieces.size();
+
+  // Torn-write injection: the daemon "crashes" partway through this
+  // intent — during its journal append, or after its first
+  // `keep_permille` of bytes landed — and refuses calls until its
+  // scheduled restart, when Serve's recovery pass rolls the intent back
+  // or replays it in full.
+  fault::TornWriteFault torn;
+  if (fault_ != nullptr) torn = fault_->OnStoredWrite(id_);
+  if (torn.torn) ++stats_.torn_writes;
+  if (torn.torn_journal) {
+    store_.StageTorn(req.handle, std::move(pieces), std::move(scratch));
+    return Unavailable("iod " + std::to_string(id_) +
+                       " crashed mid-write (injected torn write)");
   }
+  // One journaled intent covers the whole request; the flow lands it
+  // segment by segment and the commit mark follows the last segment.
+  const LocalStore::IntentId intent =
+      store_.Stage(req.handle, std::move(pieces), std::move(scratch));
+  const ByteCount land_bytes =
+      torn.torn ? plan.total_bytes * torn.keep_permille / 1000
+                : plan.total_bytes;
+  FlowWrite(async_store_, intent, RunsPrefix(plan.runs, land_bytes),
+            flow_config, flow);
+  CountFlow(flow);
+  if (torn.torn) {
+    store_.Abandon(intent);
+    return Unavailable("iod " + std::to_string(id_) +
+                       " crashed mid-write (injected torn write)");
+  }
+  store_.Commit(intent);
   resp.bytes = my_bytes;
   stats_.bytes_written += my_bytes;
   return resp;
@@ -295,6 +236,15 @@ std::vector<std::byte> IoDaemon::HandleMessage(
     case MsgType::kRepair: {
       auto req = RepairRequest::Decode(r);
       if (!req.ok()) return EncodeResponse(req.status(), {});
+      // Like Serve's list regions, a repair range must not wrap around
+      // the 64-bit offset space (it would land at the start of the file).
+      const ByteCount length = req->op == RepairOp::kFetch
+                                   ? req->length
+                                   : req->payload.size();
+      if (req->offset + length < req->offset) {
+        return EncodeResponse(
+            InvalidArgument("repair range overflows 64-bit offset space"), {});
+      }
       RecoverStore();
       if (req->op == RepairOp::kFetch) {
         if (req->length > LocalStore::kChunkBytes) {
@@ -366,7 +316,7 @@ obs::JsonValue IoDaemon::StatsJson() const {
           obs::JsonValue(stats_.repair_chunks_scanned.load()));
   out.Set("repair_chunks_copied",
           obs::JsonValue(stats_.repair_chunks_copied.load()));
-  out.Set("flow_segments", obs::JsonValue(stats_.flow_segments.load()));
+  out.Set("flow_segments", obs::JsonValue(stats_.store_ops.load()));
   out.Set("flow_inflight_peak",
           obs::JsonValue(stats_.flow_inflight_peak.load()));
   out.Set("flow_stall_us", obs::JsonValue(stats_.flow_stall_us.load()));
@@ -399,7 +349,7 @@ void IoDaemon::ExportMetrics(obs::Registry& reg,
       .Set(stats_.repair_chunks_scanned.load());
   reg.Counter("iod.repair.chunks_copied", labels)
       .Set(stats_.repair_chunks_copied.load());
-  reg.Counter("iod.flow.segments", labels).Set(stats_.flow_segments.load());
+  reg.Counter("iod.flow.segments", labels).Set(stats_.store_ops.load());
   reg.Gauge("iod.flow.inflight", labels)
       .Set(static_cast<std::int64_t>(stats_.flow_inflight_peak.load()));
   reg.Counter("iod.flow.stall_us", labels).Set(stats_.flow_stall_us.load());

@@ -5,16 +5,20 @@
 // server's bytes in logical-walk order, so the client can reassemble
 // without extra metadata.
 //
+// Every read and write takes one path: fragments -> run plan -> flow
+// (src/pvfs/flow) -> scatter. A write is one journaled intent, committed
+// after its last segment lands.
+//
 // Thread safety: Serve (and the message handlers above it) may be called
-// concurrently — the store is internally locked, recovery is idempotent
-// under that lock, and every stat is an atomic — which is what lets the
-// TCP transport stop serializing service when ServerConfig::flows is on.
+// concurrently — the store is internally locked, recovery leaves intents
+// a live request owns alone, and every stat is an atomic — which is what
+// lets the TCP transport stop serializing service when
+// ServerConfig::flow_inflight > 1.
 // The manager remains externally synchronized (one message at a time).
 #pragma once
 
 #include <atomic>
 #include <cstdint>
-#include <memory>
 #include <span>
 #include <vector>
 
@@ -24,6 +28,7 @@
 #include "obs/metrics.hpp"
 #include "pvfs/config.hpp"
 #include "pvfs/distribution.hpp"
+#include "pvfs/flow.hpp"
 #include "pvfs/protocol.hpp"
 #include "pvfs/scheduler.hpp"
 #include "pvfs/store.hpp"
@@ -40,18 +45,16 @@ class IoDaemon {
                     std::uint32_t max_list_regions = kMaxListRegions)
       : IoDaemon(id, ServerConfig{.max_list_regions = max_list_regions}) {}
 
-  /// Full service configuration, including the fragment scheduler knob
-  /// (docs/server-scheduling.md). Admission control (`max_queue_depth`)
-  /// is enforced by the transport in front of the daemon, not here.
+  /// Full service configuration (docs/async-flows.md). A window of 1
+  /// runs flows inline with no store workers. Admission control
+  /// (`max_queue_depth`) is enforced by the transport in front of the
+  /// daemon, not here.
   IoDaemon(ServerId id, const ServerConfig& config)
-      : id_(id), config_(config) {
-    if (config_.flows) {
-      async_store_ = std::make_unique<AsyncStore>(
-          store_, AsyncStore::Options{config_.store_workers,
-                                      config_.store_seek_us,
-                                      config_.store_us_per_mib});
-    }
-  }
+      : id_(id),
+        config_(config),
+        async_store_(store_,
+                     {config.flow_inflight > 1 ? config.store_workers : 0,
+                      config.store_seek_us, config.store_us_per_mib}) {}
 
   std::vector<std::byte> HandleMessage(std::span<const std::byte> raw);
 
@@ -88,13 +91,13 @@ class IoDaemon {
     fault_ = injector;
   }
 
-  /// All counters are atomics: with flows on, the transport runs Serve
-  /// calls concurrently. Readers load individual fields as before.
+  /// All counters are atomics: with a window above 1 the transport runs
+  /// Serve calls concurrently. Readers load individual fields as before.
   struct Stats {
     std::atomic<std::uint64_t> requests = 0;
     std::atomic<std::uint64_t> regions = 0;  // trailing-data entries received
     std::atomic<std::uint64_t> local_accesses = 0; // coalesced runs (sorted)
-    std::atomic<std::uint64_t> store_ops = 0; // contiguous accesses issued
+    std::atomic<std::uint64_t> store_ops = 0; // flow segments executed
     std::atomic<std::uint64_t> bytes_read = 0;
     std::atomic<std::uint64_t> bytes_written = 0;
     std::atomic<std::uint64_t> injected_errors = 0;  // failed by injection
@@ -107,8 +110,7 @@ class IoDaemon {
     std::atomic<std::uint64_t> scrub_repairs = 0;
     std::atomic<std::uint64_t> repair_chunks_scanned = 0;  // manifests served
     std::atomic<std::uint64_t> repair_chunks_copied = 0;   // applies taken
-    // Flow pipeline accounting (zero unless ServerConfig::flows).
-    std::atomic<std::uint64_t> flow_segments = 0;       // segments executed
+    // Flow pipeline accounting (segments executed are `store_ops`).
     std::atomic<std::uint64_t> flow_inflight_peak = 0;  // widest window seen
     std::atomic<std::uint64_t> flow_stall_us = 0;       // full-window waits
   };
@@ -120,16 +122,15 @@ class IoDaemon {
   void ExportMetrics(obs::Registry& reg, const obs::Labels& base = {}) const;
 
  private:
-  /// Charge the modeled device interval for `accesses` contiguous store
-  /// accesses moving `bytes` in total (no-op at the default zero knobs).
-  void ChargeDeviceTime(std::uint64_t accesses, ByteCount bytes) const;
+  /// Fold one flow's accounting into the counters.
+  void CountFlow(const FlowStats& flow);
 
   ServerId id_;
   ServerConfig config_;
   LocalStore store_;
-  /// Present iff config_.flows: the store-worker pool every in-flight
-  /// request's flow shares.
-  std::unique_ptr<AsyncStore> async_store_;
+  /// Executes every flow's segments: inline at window 1, otherwise on the
+  /// store-worker pool every in-flight request shares.
+  AsyncStore async_store_;
   Stats stats_;
   fault::FaultInjector* fault_ = nullptr;
 };

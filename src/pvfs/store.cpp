@@ -29,21 +29,26 @@ bool LocalStore::RecordIntact(const JournalRecord& rec) {
   return RecordCrc(rec) == rec.crc;
 }
 
-LocalStore::JournalRecord LocalStore::MakeRecord(
-    FileHandle handle, std::span<const WritePiece> pieces) {
-  JournalRecord rec;
+LocalStore::JournalRecord& LocalStore::Append(FileHandle handle,
+                                              std::vector<Extent> pieces,
+                                              std::vector<std::byte> data) {
+  JournalRecord& rec = journal_.emplace_back();
   rec.seq = next_seq_++;
   rec.handle = handle;
-  rec.pieces.reserve(pieces.size());
-  ByteCount total = 0;
-  for (const WritePiece& p : pieces) total += p.data.size();
-  rec.data.reserve(total);
-  for (const WritePiece& p : pieces) {
-    rec.pieces.emplace_back(p.offset, p.data.size());
-    rec.data.insert(rec.data.end(), p.data.begin(), p.data.end());
-  }
+  rec.pieces = std::move(pieces);
+  rec.data = std::move(data);
   rec.crc = RecordCrc(rec);
+  journal_data_bytes_ += rec.data.size();
   return rec;
+}
+
+LocalStore::JournalRecord* LocalStore::Find(IntentId intent) {
+  // Records stay in ascending seq order: appends are in order and every
+  // erase keeps the survivors' order.
+  auto it = std::lower_bound(
+      journal_.begin(), journal_.end(), intent,
+      [](const JournalRecord& rec, IntentId id) { return rec.seq < id; });
+  return it != journal_.end() && it->seq == intent ? &*it : nullptr;
 }
 
 // ---- Chunk-level plumbing --------------------------------------------------
@@ -74,12 +79,19 @@ void LocalStore::ApplyBytes(FileHandle handle, FileOffset offset,
   file.size = std::max<ByteCount>(file.size, offset + data.size());
 }
 
-void LocalStore::ApplyRecord(const JournalRecord& rec) {
+void LocalStore::ApplyRange(const JournalRecord& rec, ByteCount begin,
+                            ByteCount length) {
+  const ByteCount end = begin + length;
   ByteCount cursor = 0;
-  for (const auto& [offset, length] : rec.pieces) {
-    ApplyBytes(rec.handle, offset,
-               std::span{rec.data}.subspan(cursor, length), rec.seq);
-    cursor += length;
+  for (const auto& [offset, piece_length] : rec.pieces) {
+    const ByteCount lo = std::max(begin, cursor);
+    const ByteCount hi = std::min(end, cursor + piece_length);
+    if (lo < hi) {
+      ApplyBytes(rec.handle, offset + (lo - cursor),
+                 std::span{rec.data}.subspan(lo, hi - lo), rec.seq);
+    }
+    cursor += piece_length;
+    if (cursor >= end) break;
   }
 }
 
@@ -102,43 +114,56 @@ void LocalStore::Write(FileHandle handle, FileOffset offset,
 
 void LocalStore::WriteV(FileHandle handle,
                         std::span<const WritePiece> pieces) {
+  std::vector<Extent> extents;
+  extents.reserve(pieces.size());
+  std::vector<std::byte> data;
+  for (const WritePiece& p : pieces) {
+    extents.push_back({p.offset, p.data.size()});
+    data.insert(data.end(), p.data.begin(), p.data.end());
+  }
+  const ByteCount total = data.size();
+  const IntentId intent = Stage(handle, std::move(extents), std::move(data));
+  Apply(intent, 0, total);
+  Commit(intent);
+}
+
+LocalStore::IntentId LocalStore::Stage(FileHandle handle,
+                                       std::vector<Extent> pieces,
+                                       std::vector<std::byte> data) {
   std::lock_guard<std::mutex> lock(mu_);
-  JournalRecord& rec = journal_.emplace_back(MakeRecord(handle, pieces));
-  journal_data_bytes_ += rec.data.size();
-  ApplyRecord(rec);
-  rec.committed = true;  // commit mark written only after the data landed
+  JournalRecord& rec = Append(handle, std::move(pieces), std::move(data));
+  rec.owned = true;
+  return rec.seq;
+}
+
+void LocalStore::Apply(IntentId intent, ByteCount begin, ByteCount length) {
+  std::lock_guard<std::mutex> lock(mu_);
+  if (JournalRecord* rec = Find(intent)) ApplyRange(*rec, begin, length);
+}
+
+void LocalStore::Commit(IntentId intent) {
+  std::lock_guard<std::mutex> lock(mu_);
+  JournalRecord* rec = Find(intent);
+  if (rec == nullptr) return;
+  rec->committed = true;  // commit mark written only after the data landed
+  rec->owned = false;
   TrimJournal();
 }
 
-void LocalStore::WriteVTorn(FileHandle handle,
-                            std::span<const WritePiece> pieces,
-                            ByteCount keep_bytes, bool torn_journal) {
+void LocalStore::Abandon(IntentId intent) {
   std::lock_guard<std::mutex> lock(mu_);
-  JournalRecord rec = MakeRecord(handle, pieces);
-  if (rec.data.empty()) return;  // nothing to tear
-  if (torn_journal) {
-    // The crash hit the journal append itself: keep a truncated record
-    // whose CRC cannot verify. No chunk was touched.
-    rec.data.resize(rec.data.size() - rec.data.size() / 2 - 1);
-    journal_data_bytes_ += rec.data.size();
-    journal_.push_back(std::move(rec));
-    return;
-  }
-  // The record is durable, but the crash interrupted the chunk writes:
-  // only the first keep_bytes of the intent reached storage, and the
-  // commit mark was never set.
-  journal_data_bytes_ += rec.data.size();
-  ByteCount applied = 0;
-  ByteCount cursor = 0;
-  for (const auto& [offset, length] : rec.pieces) {
-    if (applied >= keep_bytes) break;
-    ByteCount take = std::min<ByteCount>(length, keep_bytes - applied);
-    ApplyBytes(handle, offset, std::span{rec.data}.subspan(cursor, take),
-               rec.seq);
-    applied += take;
-    cursor += length;
-  }
-  journal_.push_back(std::move(rec));
+  if (JournalRecord* rec = Find(intent)) rec->owned = false;
+}
+
+void LocalStore::StageTorn(FileHandle handle, std::vector<Extent> pieces,
+                           std::vector<std::byte> data) {
+  if (data.empty()) return;  // nothing to tear
+  std::lock_guard<std::mutex> lock(mu_);
+  JournalRecord& rec = Append(handle, std::move(pieces), std::move(data));
+  // The append stopped partway: a truncated record whose CRC cannot verify.
+  const ByteCount kept = rec.data.size() - rec.data.size() / 2 - 1;
+  journal_data_bytes_ -= rec.data.size() - kept;
+  rec.data.resize(kept);
 }
 
 // ---- Recovery and scrub ----------------------------------------------------
@@ -146,7 +171,7 @@ void LocalStore::WriteVTorn(FileHandle handle,
 bool LocalStore::NeedsRecovery() const {
   std::lock_guard<std::mutex> lock(mu_);
   for (const JournalRecord& rec : journal_) {
-    if (!rec.committed) return true;
+    if (!rec.committed && !rec.owned) return true;
   }
   return false;
 }
@@ -155,11 +180,11 @@ LocalStore::RecoveryStats LocalStore::Recover() {
   std::lock_guard<std::mutex> lock(mu_);
   RecoveryStats stats;
   for (JournalRecord& rec : journal_) {
-    if (rec.committed) continue;
+    if (rec.committed || rec.owned) continue;
     if (RecordIntact(rec)) {
       // The intent survived the crash in full: redo it. Re-applying bytes
       // that already landed is idempotent.
-      ApplyRecord(rec);
+      ApplyRange(rec, 0, rec.data.size());
       rec.committed = true;
       ++stats.replayed;
     }
@@ -167,7 +192,7 @@ LocalStore::RecoveryStats LocalStore::Recover() {
   // Torn records never touched a chunk, so dropping them rolls the file
   // back to its consistent pre-write state.
   std::erase_if(journal_, [&](const JournalRecord& rec) {
-    if (rec.committed) return false;
+    if (rec.committed || rec.owned) return false;
     journal_data_bytes_ -= rec.data.size();
     ++stats.rolled_back;
     return true;
@@ -191,8 +216,10 @@ bool LocalStore::RepairChunk(FileHandle handle, std::uint64_t chunk_index) {
   const FileOffset chunk_begin = chunk_index * kChunkBytes;
   const FileOffset chunk_end = chunk_begin + kChunkBytes;
   std::fill(chunk.data.begin(), chunk.data.end(), std::byte{0});
+  // Committed history plus intents still being applied: an owned intent
+  // lands in full (or is replayed in full), so its bytes belong here too.
   for (const JournalRecord& rec : journal_) {
-    if (rec.handle != handle || !rec.committed) continue;
+    if (rec.handle != handle || !(rec.committed || rec.owned)) continue;
     ByteCount cursor = 0;
     for (const auto& [offset, length] : rec.pieces) {
       FileOffset begin = std::max<FileOffset>(offset, chunk_begin);

@@ -8,20 +8,25 @@
 // Integrity layer (see docs/integrity.md):
 //   * Every allocated chunk carries a CRC32C; reads verify it and return
 //     kCorruption on mismatch (after attempting a journal-based repair).
-//   * Multi-piece writes go through a write-ahead intent journal: the
-//     record (with its own CRC) is appended first, the chunks are mutated
-//     second, the commit mark is set last. A crash between those steps
-//     leaves either a complete uncommitted record (replayed on recovery)
-//     or a torn record (rolled back — its chunks were never touched).
+//   * Every write is one write-ahead intent with one life cycle: Stage
+//     appends the record (with its own CRC) before any byte lands, Apply
+//     lands its bytes in parts, Commit sets the commit mark after the
+//     last part. WriteV is exactly stage -> apply -> commit; an iod's flow
+//     stages a whole request and applies it segment by segment. A crash
+//     between those steps leaves either a complete uncommitted record
+//     (replayed on recovery) or a torn record (rolled back — its chunks
+//     were never touched).
+//   * A staged intent is owned by its caller until Commit: Recover never
+//     replays or drops an intent a live writer still owns, so recovery
+//     run by one request cannot race another request's write.
 //   * Scrub() walks every chunk, verifies checksums and repairs from the
 //     retained journal history where possible.
 //
 // Thread safety: fully thread-safe. Every public entry point takes an
 // internal mutex, so concurrent flow segments (src/pvfs/flow) and
-// overlapping Serve calls can share one store; an individual Read/WriteV
-// remains atomic with respect to every other call. Callers that need
-// multi-call atomicity (none today — one WriteV covers a whole list-I/O
-// intent) must layer their own ordering on top.
+// overlapping Serve calls can share one store. Each call is atomic with
+// respect to every other call; a multi-part intent is atomic with respect
+// to crashes (replay-or-rollback), not to concurrent readers.
 #pragma once
 
 #include <cstddef>
@@ -33,6 +38,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "common/extent.hpp"
 #include "common/status.hpp"
 #include "common/types.hpp"
 
@@ -65,33 +71,50 @@ class LocalStore {
   void Write(FileHandle handle, FileOffset offset,
              std::span<const std::byte> data);
 
-  /// Atomically-intended multi-piece write: one journal record covers all
-  /// pieces, so a crash mid-apply replays the whole intent on recovery.
-  /// This is how an iod applies the fragments of one list-I/O request.
+  /// Multi-piece write as one intent: Stage, Apply every byte, Commit. A
+  /// crash mid-apply replays the whole intent on recovery.
   void WriteV(FileHandle handle, std::span<const WritePiece> pieces);
 
-  /// Fault hook: perform WriteV as if the daemon crashed partway through.
-  /// With `torn_journal` false, the journal record is durable but only the
-  /// first `keep_bytes` of the concatenated pieces reach the chunks and no
-  /// commit mark is written — recovery must replay. With `torn_journal`
-  /// true, the crash hit the journal append itself: the record is left
-  /// truncated (its CRC cannot verify) and no chunk is touched — recovery
-  /// must roll it back.
-  void WriteVTorn(FileHandle handle, std::span<const WritePiece> pieces,
-                  ByteCount keep_bytes, bool torn_journal);
+  /// Names a staged intent (its journal sequence number).
+  using IntentId = std::uint64_t;
 
-  /// True if the journal holds uncommitted intents (i.e. the previous
-  /// incarnation of this daemon crashed mid-write).
+  /// Journal a write intent before any of its bytes land. `data` holds the
+  /// bytes of `pieces` (local extents) back to back. The caller owns the
+  /// intent until it calls Commit or Abandon.
+  IntentId Stage(FileHandle handle, std::vector<Extent> pieces,
+                 std::vector<std::byte> data);
+
+  /// Land bytes [begin, begin + length) of a staged intent's data at the
+  /// offsets its pieces give them. Parts may land in any order, from any
+  /// thread. A no-op for an intent whose handle was removed meanwhile.
+  void Apply(IntentId intent, ByteCount begin, ByteCount length);
+
+  /// Set the commit mark of an intent whose every byte has landed.
+  void Commit(IntentId intent);
+
+  /// Fault hook: the owner of a staged intent crashed after some of its
+  /// parts landed. The intent stays uncommitted and becomes unowned, so
+  /// the next Recover replays it in full.
+  void Abandon(IntentId intent);
+
+  /// Fault hook: the crash hit the journal append of this intent. The
+  /// record is left truncated (its CRC cannot verify), unowned, and no
+  /// chunk is touched — the next Recover rolls it back.
+  void StageTorn(FileHandle handle, std::vector<Extent> pieces,
+                 std::vector<std::byte> data);
+
+  /// True if the journal holds uncommitted intents no live writer owns
+  /// (i.e. a writer crashed mid-write).
   bool NeedsRecovery() const;
 
   struct RecoveryStats {
     std::uint64_t replayed = 0;     // complete intents re-applied
     std::uint64_t rolled_back = 0;  // torn intents discarded
   };
-  /// Replay-or-rollback every pending intent: a record whose own CRC
-  /// verifies is re-applied in full (redo); a torn record is discarded
+  /// Replay-or-rollback every pending unowned intent: a record whose own
+  /// CRC verifies is re-applied in full (redo); a torn record is discarded
   /// (its chunks were never touched, so discarding restores the
-  /// consistent pre-write state).
+  /// consistent pre-write state). Owned intents are left to their owners.
   RecoveryStats Recover();
 
   struct ScrubStats {
@@ -174,18 +197,22 @@ class LocalStore {
 
   /// One journaled write intent. `data` is the concatenation of the
   /// pieces' bytes; `crc` covers handle, piece geometry and data, so a
-  /// torn append is detectable.
+  /// torn append is detectable. `owned` marks an intent a live writer is
+  /// still applying: recovery leaves it alone.
   struct JournalRecord {
     std::uint64_t seq = 0;
     FileHandle handle = 0;
-    std::vector<std::pair<FileOffset, ByteCount>> pieces;
+    std::vector<Extent> pieces;
     std::vector<std::byte> data;
     std::uint32_t crc = 0;
     bool committed = false;
+    bool owned = false;
   };
 
-  JournalRecord MakeRecord(FileHandle handle,
-                           std::span<const WritePiece> pieces);
+  JournalRecord& Append(FileHandle handle, std::vector<Extent> pieces,
+                        std::vector<std::byte> data);
+  /// The record staged as `intent`, or nullptr once it was removed.
+  JournalRecord* Find(IntentId intent);
   static std::uint32_t RecordCrc(const JournalRecord& rec);
   static bool RecordIntact(const JournalRecord& rec);
 
@@ -193,7 +220,9 @@ class LocalStore {
   /// `seq` stamps first_write_seq on chunks this call allocates.
   void ApplyBytes(FileHandle handle, FileOffset offset,
                   std::span<const std::byte> data, std::uint64_t seq);
-  void ApplyRecord(const JournalRecord& rec);
+  /// Land bytes [begin, begin + length) of a record's data.
+  void ApplyRange(const JournalRecord& rec, ByteCount begin,
+                  ByteCount length);
   /// Drop committed records from the front while over the retention cap.
   void TrimJournal();
   /// Rebuild a corrupt chunk by replaying its retained write history.

@@ -1,6 +1,5 @@
 #include "pvfs/store_async.hpp"
 
-#include <algorithm>
 #include <chrono>
 
 namespace pvfs {
@@ -43,9 +42,8 @@ std::size_t AsyncStore::CompletionQueue::outstanding() const {
 
 AsyncStore::AsyncStore(LocalStore& store, Options options)
     : store_(store), options_(options) {
-  const std::uint32_t workers = std::max<std::uint32_t>(1, options_.workers);
-  workers_.reserve(workers);
-  for (std::uint32_t i = 0; i < workers; ++i) {
+  workers_.reserve(options_.workers);
+  for (std::uint32_t i = 0; i < options_.workers; ++i) {
     workers_.emplace_back([this] { WorkerLoop(); });
   }
 }
@@ -59,50 +57,49 @@ AsyncStore::~AsyncStore() {
   for (std::thread& w : workers_) w.join();
 }
 
-void AsyncStore::ModelDeviceTime(const Options& options, ByteCount bytes) {
-  const std::uint64_t us =
-      options.seek_us + options.us_per_mib * bytes / kMiB;
-  if (us > 0) std::this_thread::sleep_for(std::chrono::microseconds(us));
-}
-
 void AsyncStore::SubmitRead(CompletionQueue& cq, Token token,
                             FileHandle handle, FileOffset offset,
                             std::span<std::byte> out) {
+  Submit({&cq, token, /*is_apply=*/false, handle, offset, out, 0, 0});
+}
+
+void AsyncStore::SubmitApply(CompletionQueue& cq, Token token,
+                             LocalStore::IntentId intent, ByteCount begin,
+                             ByteCount length) {
+  Submit({&cq, token, /*is_apply=*/true, 0, begin, {}, intent, length});
+}
+
+void AsyncStore::Submit(Op op) {
   {
-    std::lock_guard<std::mutex> cq_lock(cq.mu_);
-    ++cq.outstanding_;
+    std::lock_guard<std::mutex> cq_lock(op.cq->mu_);
+    ++op.cq->outstanding_;
+  }
+  if (workers_.empty()) {
+    Execute(op);
+    return;
   }
   {
     std::lock_guard<std::mutex> lock(mu_);
-    Op op;
-    op.cq = &cq;
-    op.token = token;
-    op.handle = handle;
-    op.offset = offset;
-    op.out = out;
-    queue_.push_back(std::move(op));
+    queue_.push_back(op);
   }
   submit_cv_.notify_one();
 }
 
-void AsyncStore::SubmitWrite(CompletionQueue& cq, Token token,
-                             FileHandle handle,
-                             std::vector<LocalStore::WritePiece> pieces) {
-  {
-    std::lock_guard<std::mutex> cq_lock(cq.mu_);
-    ++cq.outstanding_;
+void AsyncStore::Execute(const Op& op) {
+  Completion done;
+  done.token = op.token;
+  done.bytes = op.is_apply ? op.length : op.out.size();
+  // Device interval first (outside the store mutex, so intervals on
+  // different workers overlap), then the store access.
+  const std::uint64_t us =
+      options_.seek_us + options_.us_per_mib * done.bytes / kMiB;
+  if (us > 0) std::this_thread::sleep_for(std::chrono::microseconds(us));
+  if (op.is_apply) {
+    store_.Apply(op.intent, op.offset, op.length);
+  } else {
+    done.status = store_.Read(op.handle, op.offset, op.out);
   }
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    Op op;
-    op.cq = &cq;
-    op.token = token;
-    op.handle = handle;
-    op.pieces = std::move(pieces);
-    op.is_write = true;
-    queue_.push_back(std::move(op));
-  }
-  submit_cv_.notify_one();
+  op.cq->Push(std::move(done));
 }
 
 void AsyncStore::WorkerLoop() {
@@ -112,25 +109,10 @@ void AsyncStore::WorkerLoop() {
       std::unique_lock<std::mutex> lock(mu_);
       submit_cv_.wait(lock, [&] { return stopping_ || !queue_.empty(); });
       if (queue_.empty()) return;  // stopping and fully drained
-      op = std::move(queue_.front());
+      op = queue_.front();
       queue_.pop_front();
     }
-    Completion done;
-    done.token = op.token;
-    if (op.is_write) {
-      for (const LocalStore::WritePiece& p : op.pieces) {
-        done.bytes += p.data.size();
-      }
-      // Device interval first (outside the store mutex, so intervals on
-      // different workers overlap), then the journaled apply.
-      ModelDeviceTime(options_, done.bytes);
-      store_.WriteV(op.handle, op.pieces);
-    } else {
-      done.bytes = op.out.size();
-      ModelDeviceTime(options_, done.bytes);
-      done.status = store_.Read(op.handle, op.offset, op.out);
-    }
-    op.cq->Push(std::move(done));
+    Execute(op);
   }
 }
 

@@ -1,11 +1,17 @@
 // AsyncStore: a nonblocking submission/completion interface over a
 // LocalStore, modeled on the aio-method bstream of OrangeFS trove-dbpf
-// (dbpf-bstream-aio.c): callers enqueue reads and writes tagged with a
-// token, a small pool of store-worker threads executes them against the
-// (thread-safe) LocalStore, and finished operations surface on the
-// caller's CompletionQueue, drained with Wait()/Poll(). Every write
-// still rides the journaled, checksummed LocalStore path — this layer
-// adds only scheduling, never a second data path.
+// (dbpf-bstream-aio.c): callers enqueue reads and parts of staged write
+// intents tagged with a token, a small pool of store-worker threads
+// executes them against the (thread-safe) LocalStore, and finished
+// operations surface on the caller's CompletionQueue, drained with
+// Wait()/Poll(). Writes are staged, applied and committed through the
+// LocalStore's one journaled write path — this layer adds only
+// scheduling, never a second data path.
+//
+// With zero workers there is no pool: every submission executes inline on
+// the submitting thread and its completion is ready before Submit*
+// returns. That is the window-1 flow an iod runs by default — no thread,
+// no handoff, the same code.
 //
 // Completions route to the CompletionQueue named at submission, so any
 // number of independent pipelines (one flow per in-flight request; see
@@ -14,18 +20,16 @@
 //
 // Modeled device time: real iods paid a seek plus a transfer time per
 // contiguous disk access; our in-memory store pays neither. The optional
-// `seek_us`/`us_per_mib` knobs restore that cost (one sleep per
-// operation, outside the store mutex) so pipelining experiments measure
-// genuine overlap: with N workers, N device intervals proceed
-// concurrently — the flow pipeline's win — while the synchronous serve
-// path pays them strictly in series (IoDaemon applies the same knobs
-// there).
+// `seek_us`/`us_per_mib` knobs restore that cost, charged once per
+// operation (one flow segment) and slept outside the store mutex, so with
+// N workers N device intervals proceed concurrently — the flow pipeline's
+// win — while inline execution pays them strictly in series.
 //
 // Lifetime contract: the buffers behind a submitted operation (the read
-// target span, the write pieces' data spans) and its CompletionQueue
-// must stay alive until that operation's completion has been returned by
-// Wait()/Poll(). The destructor executes every pending operation before
-// returning, so completions are never lost.
+// target span) and its CompletionQueue must stay alive until that
+// operation's completion has been returned by Wait()/Poll(). The
+// destructor executes every pending operation before returning, so
+// completions are never lost.
 //
 // Thread safety: fully thread-safe; any number of threads may submit and
 // (separately or together) drain their own queues.
@@ -51,6 +55,7 @@ class AsyncStore {
   struct Options {
     /// Store-worker threads draining the submission queue. More workers =
     /// more device intervals in flight at once (an NCQ depth, loosely).
+    /// 0 = no pool: submissions execute inline on the submitting thread.
     std::uint32_t workers = 2;
     /// Modeled per-operation positioning latency, microseconds.
     std::uint64_t seek_us = 0;
@@ -101,29 +106,30 @@ class AsyncStore {
   void SubmitRead(CompletionQueue& cq, Token token, FileHandle handle,
                   FileOffset offset, std::span<std::byte> out);
 
-  /// Enqueue a journaled multi-piece write (one intent per submission,
-  /// exactly as the synchronous WriteV journals one intent per call).
-  void SubmitWrite(CompletionQueue& cq, Token token, FileHandle handle,
-                   std::vector<LocalStore::WritePiece> pieces);
-
-  const Options& options() const { return options_; }
-
-  /// Sleep the modeled device interval for one access of `bytes` bytes
-  /// (no-op when both knobs are zero). Exposed so the synchronous serve
-  /// path can charge the identical cost per store access.
-  static void ModelDeviceTime(const Options& options, ByteCount bytes);
+  /// Enqueue landing bytes [begin, begin + length) of a staged intent
+  /// (LocalStore::Apply). The intent's owner commits it once every part's
+  /// completion is in.
+  void SubmitApply(CompletionQueue& cq, Token token,
+                   LocalStore::IntentId intent, ByteCount begin,
+                   ByteCount length);
 
  private:
   struct Op {
     CompletionQueue* cq = nullptr;
     Token token = 0;
-    FileHandle handle = 0;
-    FileOffset offset = 0;           // reads
-    std::span<std::byte> out;        // reads
-    std::vector<LocalStore::WritePiece> pieces;  // writes
-    bool is_write = false;
+    bool is_apply = false;
+    FileHandle handle = 0;             // reads
+    FileOffset offset = 0;             // reads: store offset; applies: begin
+    std::span<std::byte> out;          // reads
+    LocalStore::IntentId intent = 0;   // applies
+    ByteCount length = 0;              // applies
   };
 
+  /// Count the op against its queue, then run it inline (no pool) or
+  /// hand it to the workers.
+  void Submit(Op op);
+  /// Charge the modeled device interval, move the bytes, post completion.
+  void Execute(const Op& op);
   void WorkerLoop();
 
   LocalStore& store_;

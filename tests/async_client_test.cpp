@@ -1,14 +1,18 @@
 // Async I/O pipeline tests (docs/async-flows.md): the AsyncStore
 // submission/completion contract, flow segmentation equivalence with the
-// synchronous store path, the nonblocking client operations
+// synchronous store path, per-request write atomicity under torn writes
+// and concurrent recovery, the nonblocking client operations
 // (ReadListAsync/WriteListAsync with Test/Wait/Cancel), and the
 // op_deadline retry budget. Suites are named to join the TSan CI matrix
-// (AsyncStore|Flow|AsyncClient|RetryDeadline).
+// (AsyncStore|Flow|FlowAtomicity|IntentOwnership|AsyncClient|RetryDeadline).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <optional>
 #include <set>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -17,6 +21,7 @@
 #include "fault/fault_transport.hpp"
 #include "pvfs/client.hpp"
 #include "pvfs/flow.hpp"
+#include "pvfs/iod.hpp"
 #include "pvfs/store.hpp"
 #include "pvfs/store_async.hpp"
 #include "test_cluster.hpp"
@@ -37,12 +42,10 @@ ByteBuffer Pattern(std::size_t n, std::uint64_t seed) {
   return out;
 }
 
-/// A flows-enabled daemon config with small segments, so even modest
-/// requests exercise multi-segment pipelines.
-ServerConfig FlowsConfig() {
+/// A window-4 daemon config with small segments, so even modest requests
+/// exercise multi-segment pipelines on the store-worker pool.
+ServerConfig PipelinedConfig() {
   ServerConfig config;
-  config.schedule_fragments = true;
-  config.flows = true;
   config.flow_segment_bytes = 4096;
   config.flow_inflight = 4;
   config.store_workers = 2;
@@ -69,12 +72,14 @@ TEST(AsyncStore, WriteThenReadRoundTripWithTokens) {
   AsyncStore::CompletionQueue cq;
 
   ByteBuffer data = Pattern(10'000, 11);
-  std::vector<LocalStore::WritePiece> pieces{{0, data}};
-  async.SubmitWrite(cq, /*token=*/7, kHandle, pieces);
+  const LocalStore::IntentId intent =
+      store.Stage(kHandle, {{0, data.size()}}, data);
+  async.SubmitApply(cq, /*token=*/7, intent, 0, data.size());
   AsyncStore::Completion wrote = cq.Wait();
   EXPECT_EQ(wrote.token, 7u);
   EXPECT_TRUE(wrote.status.ok()) << wrote.status.message();
   EXPECT_EQ(wrote.bytes, data.size());
+  store.Commit(intent);
 
   ByteBuffer back(data.size());
   async.SubmitRead(cq, /*token=*/9, kHandle, 0, back);
@@ -97,11 +102,15 @@ TEST(AsyncStore, CompletionsRouteToTheSubmittersQueue) {
   constexpr std::uint32_t kOps = 8;
   std::vector<ByteBuffer> buffers;
   buffers.reserve(kOps * 2);
+  std::vector<LocalStore::IntentId> intents;
   for (std::uint32_t i = 0; i < kOps; ++i) {
     buffers.push_back(Pattern(3000 + i, 20 + i));
-    std::vector<LocalStore::WritePiece> pieces{
-        {static_cast<FileOffset>(i) * 8192, buffers.back()}};
-    async.SubmitWrite(cq_a, /*token=*/100 + i, kHandle, pieces);
+    intents.push_back(
+        store.Stage(kHandle, {{static_cast<FileOffset>(i) * 8192,
+                               buffers.back().size()}},
+                    buffers.back()));
+    async.SubmitApply(cq_a, /*token=*/100 + i, intents.back(), 0,
+                      buffers.back().size());
   }
   for (std::uint32_t i = 0; i < kOps; ++i) {
     buffers.push_back(ByteBuffer(2048));
@@ -125,6 +134,7 @@ TEST(AsyncStore, CompletionsRouteToTheSubmittersQueue) {
   }
   EXPECT_EQ(got_a, want_a);
   EXPECT_EQ(got_b, want_b);
+  for (LocalStore::IntentId intent : intents) store.Commit(intent);
   EXPECT_EQ(cq_a.outstanding(), 0u);
   EXPECT_EQ(cq_b.outstanding(), 0u);
 }
@@ -141,9 +151,9 @@ TEST(AsyncStore, DestructorDrainsEveryPendingWrite) {
     // One slow worker so most submissions are still queued at destruction.
     AsyncStore async(store, {.workers = 1, .seek_us = 200});
     for (std::uint32_t i = 0; i < kOps; ++i) {
-      std::vector<LocalStore::WritePiece> pieces{
-          {static_cast<FileOffset>(i) * 4096, buffers[i]}};
-      async.SubmitWrite(cq, i, kHandle, pieces);
+      const LocalStore::IntentId intent = store.Stage(
+          kHandle, {{static_cast<FileOffset>(i) * 4096, 4096}}, buffers[i]);
+      async.SubmitApply(cq, i, intent, 0, 4096);
     }
   }  // ~AsyncStore must execute all 16 before returning.
   for (std::uint32_t i = 0; i < kOps; ++i) {
@@ -161,6 +171,31 @@ TEST(AsyncStore, DestructorDrainsEveryPendingWrite) {
   EXPECT_EQ(cq.outstanding(), 0u);
 }
 
+TEST(AsyncStore, ZeroWorkersExecuteInlineOnTheSubmitter) {
+  // The window-1 flow's store: no pool, so every completion is ready
+  // before the submission call returns.
+  LocalStore store;
+  AsyncStore async(store, {.workers = 0});
+  AsyncStore::CompletionQueue cq;
+
+  ByteBuffer data = Pattern(5'000, 12);
+  const LocalStore::IntentId intent =
+      store.Stage(kHandle, {{100, data.size()}}, data);
+  async.SubmitApply(cq, /*token=*/1, intent, 0, data.size());
+  std::optional<AsyncStore::Completion> wrote = cq.Poll();
+  ASSERT_TRUE(wrote.has_value());
+  EXPECT_EQ(wrote->token, 1u);
+  store.Commit(intent);
+
+  ByteBuffer back(data.size());
+  async.SubmitRead(cq, /*token=*/2, kHandle, 100, back);
+  std::optional<AsyncStore::Completion> read = cq.Poll();
+  ASSERT_TRUE(read.has_value());
+  EXPECT_TRUE(read->status.ok());
+  EXPECT_EQ(back, data);
+  EXPECT_EQ(cq.outstanding(), 0u);
+}
+
 // ---- Flow ------------------------------------------------------------------
 
 TEST(Flow, WriteReadRoundTripMatchesSynchronousStore) {
@@ -173,22 +208,28 @@ TEST(Flow, WriteReadRoundTripMatchesSynchronousStore) {
       {0, 10'000, 0}, {50'000, 7'000, 10'000}, {200'000, 300, 17'000}};
   ByteBuffer scratch = Pattern(17'300, 55);
 
+  std::vector<Extent> pieces;
+  for (const ScheduledRun& run : runs) {
+    pieces.push_back({run.offset, run.length});
+  }
+  const LocalStore::IntentId intent =
+      flow_store.Stage(kHandle, pieces, scratch);
   FlowStats wstats;
-  ASSERT_TRUE(
-      FlowWrite(async, kHandle, runs, scratch, config, wstats).ok());
+  FlowWrite(async, intent, runs, config, wstats);
+  flow_store.Commit(intent);
   // ceil(10000/4096) + ceil(7000/4096) + ceil(300/4096) = 3 + 2 + 1.
   EXPECT_EQ(wstats.segments, 6u);
   EXPECT_GE(wstats.peak_inflight, 1u);
   EXPECT_LE(wstats.peak_inflight, config.max_inflight);
 
   // The synchronous path writes the same bytes through one WriteV.
-  std::vector<LocalStore::WritePiece> pieces;
+  std::vector<LocalStore::WritePiece> sync_pieces;
   for (const ScheduledRun& run : runs) {
-    pieces.push_back({run.offset,
-                      std::span<const std::byte>(scratch).subspan(
-                          run.buf_offset, run.length)});
+    sync_pieces.push_back({run.offset,
+                           std::span<const std::byte>(scratch).subspan(
+                               run.buf_offset, run.length)});
   }
-  sync_store.WriteV(kHandle, pieces);
+  sync_store.WriteV(kHandle, sync_pieces);
 
   FlowStats rstats;
   ByteBuffer flow_back(scratch.size());
@@ -214,17 +255,181 @@ TEST(Flow, FullWindowStallsAreAccounted) {
   const std::vector<ScheduledRun> runs = {{0, 8 * 1024, 0}};
   ByteBuffer scratch = Pattern(8 * 1024, 66);
 
+  const LocalStore::IntentId intent =
+      store.Stage(kHandle, {{0, scratch.size()}}, scratch);
   FlowStats stats;
-  ASSERT_TRUE(FlowWrite(async, kHandle, runs, scratch, config, stats).ok());
+  FlowWrite(async, intent, runs, config, stats);
+  store.Commit(intent);
   EXPECT_EQ(stats.segments, 8u);
   EXPECT_EQ(stats.peak_inflight, 2u);
   EXPECT_GT(stats.stall_us, 0u);
 }
 
+// ---- FlowAtomicity / IntentOwnership ----------------------------------------
+//
+// A write is one journaled intent whatever the flow window: a crash after
+// any of its segments replays the whole request, a crash in its journal
+// append rolls the whole request back, and recovery run by one request
+// never touches an intent another request's live flow still owns.
+
+constexpr ByteCount kSegment = 1000;
+constexpr std::uint32_t kSegments = 8;
+constexpr ByteCount kRequestBytes = kSegment * kSegments;
+
+/// Two 4,000 B regions of a one-server file: two runs, cut into eight
+/// 1,000 B flow segments.
+IoRequest TwoRunRequest(IoOp op, ByteBuffer payload = {}) {
+  IoRequest req;
+  req.handle = kHandle;
+  req.striping = Striping{0, 1, 65536};
+  req.server_index = 0;
+  req.op = op;
+  req.regions = {Extent{0, 4000}, Extent{10'000, 4000}};
+  req.payload = std::move(payload);
+  return req;
+}
+
+ServerConfig WindowConfig(std::uint32_t window) {
+  ServerConfig config;
+  config.flow_segment_bytes = kSegment;
+  config.flow_inflight = window;
+  config.store_workers = 2;
+  return config;
+}
+
+fault::FaultConfig TornConfig(std::uint64_t seed) {
+  fault::FaultConfig config;
+  config.seed = seed;
+  config.torn_write_rate = 1.0;
+  return config;
+}
+
+/// A seed whose first torn-write decision on iod 0 tears the journal
+/// append (`torn_journal`), or else tears the data writes after exactly
+/// `whole_segments` segments landed (the next one partly).
+std::uint64_t TornSeed(bool torn_journal, std::uint32_t whole_segments) {
+  for (std::uint64_t seed = 1;; ++seed) {
+    fault::FaultInjector probe(TornConfig(seed));
+    const fault::TornWriteFault torn = probe.OnStoredWrite(0);
+    if (torn.torn_journal != torn_journal) continue;
+    if (torn_journal) return seed;
+    const ByteCount land = kRequestBytes * torn.keep_permille / 1000;
+    if (land / kSegment == whole_segments) return seed;
+  }
+}
+
+/// The request's bytes as the store holds them, without recovering first.
+ByteBuffer StoredImage(IoDaemon& iod) {
+  ByteBuffer image(kRequestBytes);
+  EXPECT_TRUE(iod.store()
+                  .Read(kHandle, 0, std::span{image}.first(4000))
+                  .ok());
+  EXPECT_TRUE(iod.store()
+                  .Read(kHandle, 10'000, std::span{image}.subspan(4000))
+                  .ok());
+  return image;
+}
+
+void ExpectTornWriteReplaysWholeRequest(std::uint32_t window) {
+  for (std::uint32_t landed = 0; landed < kSegments; ++landed) {
+    SCOPED_TRACE("window " + std::to_string(window) + ", crash after " +
+                 std::to_string(landed) + " segments");
+    IoDaemon iod(0, WindowConfig(window));
+    const ByteBuffer before = Pattern(kRequestBytes, 500);
+    ASSERT_TRUE(iod.Serve(TwoRunRequest(IoOp::kWrite, before)).ok());
+
+    const ByteBuffer after = Pattern(kRequestBytes, 600 + landed);
+    fault::FaultInjector injector(TornConfig(TornSeed(false, landed)));
+    iod.set_fault_injector(&injector);
+    auto crashed = iod.Serve(TwoRunRequest(IoOp::kWrite, after));
+    iod.set_fault_injector(nullptr);
+    ASSERT_EQ(crashed.status().code(), ErrorCode::kUnavailable);
+
+    // The crash hit mid-request: the landed segments hold new bytes, the
+    // last segment still holds old ones.
+    const ByteBuffer torn = StoredImage(iod);
+    const ByteCount whole = landed * kSegment;
+    EXPECT_TRUE(std::equal(torn.begin(), torn.begin() + whole, after.begin()));
+    EXPECT_EQ(torn.back(), before.back());
+
+    // The next request recovers first: the whole request is applied.
+    auto read = iod.Serve(TwoRunRequest(IoOp::kRead));
+    ASSERT_TRUE(read.ok());
+    EXPECT_EQ(read->payload, after);
+    EXPECT_EQ(iod.stats().journal_replays, 1u);
+    EXPECT_EQ(iod.stats().journal_rollbacks, 0u);
+  }
+}
+
+TEST(FlowAtomicity, TornWriteReplaysWholeRequestAtWindow1) {
+  ExpectTornWriteReplaysWholeRequest(1);
+}
+
+TEST(FlowAtomicity, TornWriteReplaysWholeRequestAtWindow4) {
+  ExpectTornWriteReplaysWholeRequest(4);
+}
+
+TEST(FlowAtomicity, TornJournalAppendRollsBackWholeRequest) {
+  for (std::uint32_t window : {1u, 4u}) {
+    SCOPED_TRACE("window " + std::to_string(window));
+    IoDaemon iod(0, WindowConfig(window));
+    const ByteBuffer before = Pattern(kRequestBytes, 700);
+    ASSERT_TRUE(iod.Serve(TwoRunRequest(IoOp::kWrite, before)).ok());
+
+    fault::FaultInjector injector(TornConfig(TornSeed(true, 0)));
+    iod.set_fault_injector(&injector);
+    auto crashed =
+        iod.Serve(TwoRunRequest(IoOp::kWrite, Pattern(kRequestBytes, 701)));
+    iod.set_fault_injector(nullptr);
+    ASSERT_EQ(crashed.status().code(), ErrorCode::kUnavailable);
+    EXPECT_EQ(StoredImage(iod), before) << "a torn append touches no chunk";
+
+    auto read = iod.Serve(TwoRunRequest(IoOp::kRead));
+    ASSERT_TRUE(read.ok());
+    EXPECT_EQ(read->payload, before);
+    EXPECT_EQ(iod.stats().journal_replays, 0u);
+    EXPECT_EQ(iod.stats().journal_rollbacks, 1u);
+  }
+}
+
+TEST(IntentOwnership, ConcurrentRecoveryLeavesLiveIntentsAlone) {
+  // Window 4 with a slow device: every write's intent stays staged for
+  // several device intervals while the other threads' Serve calls run
+  // RecoverStore. None of them may replay or discard it.
+  ServerConfig config = WindowConfig(4);
+  config.store_seek_us = 200;
+  IoDaemon iod(0, config);
+  constexpr int kThreads = 4;
+  constexpr int kRounds = 6;
+  std::atomic<int> failures{0};
+  {
+    std::vector<std::jthread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&, t] {
+        for (int round = 0; round < kRounds; ++round) {
+          IoRequest write = TwoRunRequest(
+              IoOp::kWrite, Pattern(kRequestBytes, 800 + t * kRounds + round));
+          write.handle = kHandle + 1 + t;
+          IoRequest read = TwoRunRequest(IoOp::kRead);
+          read.handle = write.handle;
+          auto back = iod.Serve(read);  // recovers while others write
+          if (!iod.Serve(write).ok() || !back.ok()) ++failures;
+          back = iod.Serve(read);
+          if (!back.ok() || back->payload != write.payload) ++failures;
+        }
+      });
+    }
+  }
+  EXPECT_EQ(failures.load(), 0);
+  EXPECT_EQ(iod.stats().journal_replays, 0u);
+  EXPECT_EQ(iod.stats().journal_rollbacks, 0u);
+  EXPECT_FALSE(iod.store().NeedsRecovery());
+}
+
 // ---- AsyncClient -----------------------------------------------------------
 
 TEST(AsyncClient, OutOfOrderCompletionsAcrossIodsRoundTrip) {
-  InProcCluster cluster(4, FlowsConfig());
+  InProcCluster cluster(4, PipelinedConfig());
   Client::Options options;
   options.async_workers = 4;
   Client client(cluster.transport.get(), options);
@@ -266,16 +471,16 @@ TEST(AsyncClient, OutOfOrderCompletionsAcrossIodsRoundTrip) {
 
   std::uint64_t segments = 0;
   for (const auto& iod : cluster.iods) {
-    segments += iod->stats().flow_segments;
+    segments += iod->stats().store_ops;
   }
-  EXPECT_GT(segments, 0u) << "flows-enabled daemons must run the pipeline";
+  EXPECT_GT(segments, 0u) << "every request must run through a flow";
   const ClientStats stats = client.stats();
   EXPECT_EQ(stats.operations, kOps * 2);
   EXPECT_EQ(stats.bytes_written, static_cast<std::uint64_t>(op_bytes) * kOps);
 }
 
 TEST(AsyncClient, WaitAfterErrorReturnsTypedStatus) {
-  InProcCluster cluster(4, FlowsConfig());
+  InProcCluster cluster(4, PipelinedConfig());
 
   // Submission-time failure (bad descriptor): MPI-style, the handle still
   // comes back and Wait reports the typed error.
@@ -315,7 +520,7 @@ TEST(AsyncClient, CancelBeforeDispatchWins) {
   // One async worker, a long-running first operation (16 strided runs,
   // each paying a 2 ms modeled seek): the second operation is still
   // queued when Cancel lands, so it must never execute.
-  ServerConfig config = FlowsConfig();
+  ServerConfig config = PipelinedConfig();
   config.store_seek_us = 2'000;
   InProcCluster cluster(4, config);
   Client::Options options;
@@ -355,7 +560,7 @@ TEST(AsyncClient, AsyncWritesSurviveFrameDropsAndCrashRestart) {
   // scheduled iod crash (down for 40 calls, then "restarted" when the
   // down ticks run out). Retries are idempotent; every Wait must succeed
   // and the readback must be bit-exact.
-  InProcCluster cluster(4, FlowsConfig());
+  InProcCluster cluster(4, PipelinedConfig());
   fault::FaultConfig faults;
   faults.seed = 4242;
   faults.drop_rate = 0.05;
@@ -398,11 +603,11 @@ TEST(AsyncClient, AsyncWritesSurviveFrameDropsAndCrashRestart) {
 }
 
 TEST(AsyncClient, ConcurrentClientsOnFlowsDaemonsStayCoherent) {
-  // Four clients hammer the same flows-enabled daemons through the
-  // shared in-process transport: Serve runs concurrently (the epoll
-  // server stops serializing service when flows are on), so this is the
-  // TSan proof obligation for daemon-side pipeline state.
-  InProcCluster cluster(4, FlowsConfig());
+  // Four clients hammer the same window-4 daemons through the shared
+  // in-process transport: Serve runs concurrently (the epoll server stops
+  // serializing service above window 1), so this is the TSan proof
+  // obligation for daemon-side pipeline state.
+  InProcCluster cluster(4, PipelinedConfig());
   std::atomic<int> failures{0};
   {
     std::vector<std::jthread> threads;
@@ -431,7 +636,7 @@ TEST(AsyncClient, ConcurrentClientsOnFlowsDaemonsStayCoherent) {
   EXPECT_EQ(failures.load(), 0);
   std::uint64_t segments = 0;
   for (const auto& iod : cluster.iods) {
-    segments += iod->stats().flow_segments;
+    segments += iod->stats().store_ops;
   }
   EXPECT_GT(segments, 0u);
 }

@@ -672,7 +672,6 @@ TEST(EventChaos, MuxBoundedQueueUnderLoad) {
 
   ServerConfig server_config;
   server_config.max_queue_depth = 1;
-  server_config.schedule_fragments = true;
   obs::Registry registry;
   auto cluster = SocketCluster::Start(kServers, server_config, 0, &registry);
   ASSERT_TRUE(cluster.ok());

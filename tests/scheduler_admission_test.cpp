@@ -3,7 +3,8 @@
 //
 //   * BuildRunPlan: sorted-merge run construction, scatter/gather maps.
 //   * IoDaemon: `local_accesses` counts offset-sorted runs (the cyclic
-//     over-count regression), scheduled execution moves identical bytes.
+//     over-count regression), and run-plan execution moves the same bytes
+//     as a per-fragment reference store.
 //   * Sim/executed agreement: Distribution::ServerLocalRuns and the iod
 //     plan count the same runs.
 //   * Client determinism: WriteChunk fans out in ascending server order;
@@ -151,13 +152,13 @@ TEST(IoDaemonScheduling, LocalAccessesCountOffsetSortedRuns) {
   req.payload.resize(8);
   ASSERT_TRUE(iod.Serve(req).ok());
   EXPECT_EQ(iod.stats().local_accesses, 1u);
-  // The unscheduled daemon still EXECUTES one store op per fragment.
-  EXPECT_EQ(iod.stats().store_ops, 4u);
+  // The daemon executes the plan: one store op per run.
+  EXPECT_EQ(iod.stats().store_ops, iod.stats().local_accesses);
 
   auto read = iod.Serve(CyclicRequest(IoOp::kRead));
   ASSERT_TRUE(read.ok());
   EXPECT_EQ(iod.stats().local_accesses, 2u);
-  EXPECT_EQ(iod.stats().store_ops, 8u);
+  EXPECT_EQ(iod.stats().store_ops, iod.stats().local_accesses);
 }
 
 TEST(IoDaemonScheduling, SimRunsAgreeWithExecutedAccounting) {
@@ -174,9 +175,7 @@ TEST(IoDaemonScheduling, SimRunsAgreeWithExecutedAccounting) {
 }
 
 TEST(IoDaemonScheduling, ScheduledDaemonIssuesOneStoreOpPerRun) {
-  ServerConfig config;
-  config.schedule_fragments = true;
-  IoDaemon iod(0, config);
+  IoDaemon iod(0);
   IoRequest req = CyclicRequest(IoOp::kWrite);
   req.payload.resize(8);
   FillPattern(req.payload, 3, 0);
@@ -189,15 +188,46 @@ TEST(IoDaemonScheduling, ScheduledDaemonIssuesOneStoreOpPerRun) {
   EXPECT_EQ(iod.stats().store_ops, 2u);
 }
 
+/// Test oracle: the 2002 per-fragment iod. It writes and reads a plain
+/// LocalStore one fragment at a time, in logical order.
+struct PerFragmentReference {
+  LocalStore store;
+  std::uint64_t fragments = 0;  // store accesses made
+
+  void Write(FileHandle handle, const Striping& striping, ServerId server,
+             std::span<const Extent> regions,
+             std::span<const std::byte> payload) {
+    ByteCount cursor = 0;
+    for (const Fragment& f :
+         Distribution(striping).ServerFragments(server, regions)) {
+      store.Write(handle, f.local_offset, payload.subspan(cursor, f.length));
+      cursor += f.length;
+      ++fragments;
+    }
+  }
+
+  ByteBuffer Read(FileHandle handle, const Striping& striping,
+                  ServerId server, std::span<const Extent> regions) {
+    ByteBuffer out;
+    for (const Fragment& f :
+         Distribution(striping).ServerFragments(server, regions)) {
+      ByteBuffer piece(f.length);
+      EXPECT_TRUE(store.Read(handle, f.local_offset, piece).ok());
+      out.insert(out.end(), piece.begin(), piece.end());
+      ++fragments;
+    }
+    return out;
+  }
+};
+
 TEST(IoDaemonScheduling, ScheduledAndUnscheduledMoveIdenticalBytes) {
-  // Random list requests against a scheduled and an unscheduled daemon:
-  // write payloads and read-back payloads must be byte-identical — the
-  // scatter/gather must keep the wire layout of the unscheduled path.
+  // Random list requests against the daemon and the per-fragment
+  // reference: write payloads and read-back payloads must be
+  // byte-identical — the run plan's scatter/gather must keep the wire
+  // layout of per-fragment execution, overlaps included.
   SplitMix64 rng(7);
-  ServerConfig scheduled_config;
-  scheduled_config.schedule_fragments = true;
-  IoDaemon plain(0);
-  IoDaemon scheduled(0, scheduled_config);
+  IoDaemon iod(0);
+  PerFragmentReference reference;
 
   for (int iter = 0; iter < 100; ++iter) {
     Striping striping{0, static_cast<std::uint32_t>(rng.Uniform(1, 4)),
@@ -221,62 +251,73 @@ TEST(IoDaemonScheduling, ScheduledAndUnscheduledMoveIdenticalBytes) {
     write.payload.resize(mine);
     FillPattern(write.payload, 1000 + iter, 0);
 
-    ASSERT_TRUE(plain.Serve(write).ok());
-    ASSERT_TRUE(scheduled.Serve(write).ok());
+    ASSERT_TRUE(iod.Serve(write).ok());
+    reference.Write(write.handle, striping, 0, regions, write.payload);
 
     IoRequest read = write;
     read.op = IoOp::kRead;
     read.payload.clear();
-    auto a = plain.Serve(read);
-    auto b = scheduled.Serve(read);
-    ASSERT_TRUE(a.ok());
-    ASSERT_TRUE(b.ok());
-    EXPECT_EQ(a->payload, b->payload) << "iter " << iter;
+    auto got = iod.Serve(read);
+    ASSERT_TRUE(got.ok());
+    EXPECT_EQ(got->payload, reference.Read(read.handle, striping, 0, regions))
+        << "iter " << iter;
   }
-  // The scheduler never issues MORE store accesses than per-fragment
-  // execution, and the accounting metric is identical on both daemons.
-  EXPECT_EQ(plain.stats().local_accesses, scheduled.stats().local_accesses);
-  EXPECT_LE(scheduled.stats().store_ops, plain.stats().store_ops);
+  // One store access per coalesced run, never more than the reference's
+  // one per fragment.
+  EXPECT_EQ(iod.stats().store_ops, iod.stats().local_accesses);
+  EXPECT_LE(iod.stats().store_ops, reference.fragments);
 }
 
 TEST(IoDaemonScheduling, EndToEndListIoMatchesAcrossSchedulingModes) {
-  // Full client -> cluster round trips, cyclic pattern: a scheduled
-  // cluster must return byte-identical data to an unscheduled one.
-  ServerConfig scheduled_config;
-  scheduled_config.schedule_fragments = true;
-  InProcCluster plain(4);
-  InProcCluster scheduled(4, scheduled_config);
+  // Full client -> cluster round trips, cyclic pattern: every daemon's
+  // store must hold byte-identical data to a per-fragment reference fed
+  // the same regions, and the client must read its buffer back.
+  constexpr ServerId kServers = 4;
+  const Striping striping{0, kServers, 64};
+  InProcCluster cluster(kServers);
+  Client client = cluster.MakeClient();
+  auto fd = client.Create("f", striping);
+  ASSERT_TRUE(fd.ok());
+  // 96 small adjacent records: every 64-region chunk tiles [0, 1024),
+  // so each server's 16 fragments per chunk collapse to one local run.
+  ExtentList file;
+  for (std::uint64_t i = 0; i < 96; ++i) file.push_back({i * 16, 16});
+  ByteBuffer buffer(96 * 16);
+  FillPattern(buffer, 42, 0);
+  ExtentList mem{{0, buffer.size()}};
+  ASSERT_TRUE(client.WriteList(*fd, mem, buffer, file).ok());
 
-  for (InProcCluster* cluster : {&plain, &scheduled}) {
-    Client client = cluster->MakeClient();
-    auto fd = client.Create("f", Striping{0, 4, 64});
-    ASSERT_TRUE(fd.ok());
-    // 96 small adjacent records: every 64-region chunk tiles [0, 1024),
-    // so each server's 16 fragments per chunk collapse to one local run.
-    ExtentList file;
-    for (std::uint64_t i = 0; i < 96; ++i) file.push_back({i * 16, 16});
-    ByteBuffer buffer(96 * 16);
-    FillPattern(buffer, 42, 0);
-    ExtentList mem{{0, buffer.size()}};
-    ASSERT_TRUE(client.WriteList(*fd, mem, buffer, file).ok());
+  ByteBuffer back(buffer.size(), std::byte{0});
+  ASSERT_TRUE(client.ReadList(*fd, mem, back, file).ok());
+  EXPECT_EQ(back, buffer);
 
-    ByteBuffer back(buffer.size(), std::byte{0});
-    ASSERT_TRUE(client.ReadList(*fd, mem, back, file).ok());
-    EXPECT_EQ(back, buffer);
+  auto meta = client.Stat(*fd);
+  ASSERT_TRUE(meta.ok());
+  const FileHandle handle = meta->handle;
+  std::uint64_t ops = 0, runs = 0, fragments = 0;
+  for (ServerId s = 0; s < kServers; ++s) {
+    PerFragmentReference reference;
+    ByteBuffer payload;
+    for (const Fragment& f : Distribution(striping).ServerFragments(s, file)) {
+      payload.insert(payload.end(), buffer.begin() + f.logical_pos,
+                     buffer.begin() + f.logical_pos + f.length);
+    }
+    reference.Write(handle, striping, s, file, payload);
+    fragments += reference.fragments;
+
+    const LocalStore& store = cluster.iods[s]->store();
+    ASSERT_EQ(store.SizeOf(handle), reference.store.SizeOf(handle));
+    ByteBuffer got(store.SizeOf(handle)), want(got.size());
+    ASSERT_TRUE(cluster.iods[s]->store().Read(handle, 0, got).ok());
+    ASSERT_TRUE(reference.store.Read(handle, 0, want).ok());
+    EXPECT_EQ(got, want) << "server " << s;
+    ops += cluster.iods[s]->stats().store_ops;
+    runs += cluster.iods[s]->stats().local_accesses;
   }
-  // Same logical traffic on both clusters; the scheduled one executed
-  // fewer (or equal) contiguous store accesses, and both account the
-  // same coalesced run count.
-  std::uint64_t plain_ops = 0, sched_ops = 0, plain_runs = 0,
-                sched_runs = 0;
-  for (ServerId s = 0; s < 4; ++s) {
-    plain_ops += plain.iods[s]->stats().store_ops;
-    sched_ops += scheduled.iods[s]->stats().store_ops;
-    plain_runs += plain.iods[s]->stats().local_accesses;
-    sched_runs += scheduled.iods[s]->stats().local_accesses;
-  }
-  EXPECT_EQ(plain_runs, sched_runs);
-  EXPECT_LT(sched_ops, plain_ops);
+  // The daemons executed one contiguous access per coalesced run — far
+  // fewer than the reference's one per fragment (write and read).
+  EXPECT_EQ(ops, runs);
+  EXPECT_LT(ops, 2 * fragments);
 }
 
 // ---- Client fan-out determinism --------------------------------------------
@@ -556,7 +597,6 @@ TEST(AdmissionChaos, ThreadedClusterBoundedQueueUnderLoad) {
 
   ServerConfig config;
   config.max_queue_depth = 1;
-  config.schedule_fragments = true;
   obs::Registry registry;
   runtime::ThreadedCluster cluster(kServers, config, &registry);
 

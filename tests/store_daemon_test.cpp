@@ -138,9 +138,14 @@ TEST(LocalStoreIntegrity, TornDataWriteReplaysOnRecovery) {
   ByteBuffer a(300), b(300);
   FillPattern(a, 6, 0);
   FillPattern(b, 7, 0);
-  LocalStore::WritePiece pieces[] = {{0, a}, {1000, b}};
+  ByteBuffer data = a;
+  data.insert(data.end(), b.begin(), b.end());
+  const LocalStore::IntentId intent =
+      store.Stage(1, {{0, 300}, {1000, 300}}, data);
   // Crash after only 100 of 600 bytes reached the chunks.
-  store.WriteVTorn(1, pieces, 100, /*torn_journal=*/false);
+  store.Apply(intent, 0, 100);
+  EXPECT_FALSE(store.NeedsRecovery()) << "a live owner's intent is not torn";
+  store.Abandon(intent);
   ASSERT_TRUE(store.NeedsRecovery());
 
   auto rec = store.Recover();
@@ -159,9 +164,8 @@ TEST(LocalStoreIntegrity, TornJournalWriteRollsBack) {
   ByteBuffer before(200, std::byte{0xAB});
   store.Write(1, 0, before);
   ByteBuffer update(200, std::byte{0xCD});
-  LocalStore::WritePiece pieces[] = {{0, update}};
   // Crash during the journal append itself: no chunk touched.
-  store.WriteVTorn(1, pieces, 0, /*torn_journal=*/true);
+  store.StageTorn(1, {{0, 200}}, update);
   ASSERT_TRUE(store.NeedsRecovery());
 
   auto rec = store.Recover();
@@ -170,6 +174,22 @@ TEST(LocalStoreIntegrity, TornJournalWriteRollsBack) {
   ByteBuffer out(200);
   ASSERT_TRUE(store.Read(1, 0, out).ok());
   EXPECT_EQ(out, before);  // consistent pre-write state
+}
+
+TEST(LocalStoreIntegrity, RecoverLeavesOwnedIntentsAlone) {
+  LocalStore store;
+  ByteBuffer data(400, std::byte{0x5A});
+  const LocalStore::IntentId intent = store.Stage(1, {{0, 400}}, data);
+  store.Apply(intent, 200, 200);  // parts land in any order
+  auto rec = store.Recover();
+  EXPECT_EQ(rec.replayed, 0u);
+  EXPECT_EQ(rec.rolled_back, 0u);
+  store.Apply(intent, 0, 200);
+  store.Commit(intent);
+  ByteBuffer out(400);
+  ASSERT_TRUE(store.Read(1, 0, out).ok());
+  EXPECT_EQ(out, data);
+  EXPECT_FALSE(store.NeedsRecovery());
 }
 
 TEST(LocalStoreIntegrity, MultiPieceWriteVIsOneIntent) {
@@ -356,6 +376,45 @@ TEST(IoDaemon, ReadOfUnwrittenDataIsZeros) {
   auto rd = iod.Serve(MakeIo(IoOp::kRead, {{100, 50}}));
   ASSERT_TRUE(rd.ok());
   for (std::byte b : rd->payload) EXPECT_EQ(b, std::byte{0});
+}
+
+// A kRepair range that wraps around the 64-bit offset space is refused
+// before it touches the store, as Serve refuses such list regions; a
+// 40 B apply at 2^64 - 10 used to land at byte 0 of the file.
+RepairRequest WrappingRepair(RepairOp op) {
+  RepairRequest req;
+  req.handle = 1;
+  req.op = op;
+  req.offset = ~FileOffset{0} - 9;  // 2^64 - 10
+  if (op == RepairOp::kFetch) {
+    req.length = 40;
+  } else {
+    req.payload.assign(40, std::byte{0x55});
+  }
+  return req;
+}
+
+TEST(IoDaemonRepair, ApplyRangeThatWrapsIsRejected) {
+  IoDaemon iod(0);
+  const ByteBuffer before(64, std::byte{0xAA});
+  iod.store().Write(1, 0, before);
+  auto env = DecodeResponse(
+      iod.HandleMessage(WrappingRepair(RepairOp::kApply).Encode()));
+  ASSERT_TRUE(env.ok());
+  EXPECT_EQ(env->status.code(), ErrorCode::kInvalidArgument);
+  ByteBuffer out(64);
+  ASSERT_TRUE(iod.store().Read(1, 0, out).ok());
+  EXPECT_EQ(out, before);
+  EXPECT_EQ(iod.stats().repair_chunks_copied, 0u);
+}
+
+TEST(IoDaemonRepair, FetchRangeThatWrapsIsRejected) {
+  IoDaemon iod(0);
+  iod.store().Write(1, 0, ByteBuffer(64, std::byte{0xAA}));
+  auto env = DecodeResponse(
+      iod.HandleMessage(WrappingRepair(RepairOp::kFetch).Encode()));
+  ASSERT_TRUE(env.ok());
+  EXPECT_EQ(env->status.code(), ErrorCode::kInvalidArgument);
 }
 
 }  // namespace
