@@ -349,7 +349,6 @@ void IoDaemon::ExportMetrics(obs::Registry& reg,
       .Set(stats_.repair_chunks_scanned.load());
   reg.Counter("iod.repair.chunks_copied", labels)
       .Set(stats_.repair_chunks_copied.load());
-  reg.Counter("iod.flow.segments", labels).Set(stats_.store_ops.load());
   reg.Gauge("iod.flow.inflight", labels)
       .Set(static_cast<std::int64_t>(stats_.flow_inflight_peak.load()));
   reg.Counter("iod.flow.stall_us", labels).Set(stats_.flow_stall_us.load());

@@ -7,6 +7,29 @@
 
 namespace pvfs {
 
+namespace {
+
+/// True if any byte lies in both extent lists.
+bool PiecesOverlap(std::vector<Extent> a, std::vector<Extent> b) {
+  std::ranges::sort(a, {}, &Extent::offset);
+  std::ranges::sort(b, {}, &Extent::offset);
+  // Sweep both sorted lists: drop whichever extent ends before the other
+  // begins; anything else shares a byte.
+  std::size_t i = 0, j = 0;
+  while (i < a.size() && j < b.size()) {
+    if (a[i].offset + a[i].length <= b[j].offset) {
+      ++i;
+    } else if (b[j].offset + b[j].length <= a[i].offset) {
+      ++j;
+    } else {
+      return true;
+    }
+  }
+  return false;
+}
+
+}  // namespace
+
 // ---- Journal records -------------------------------------------------------
 
 std::uint32_t LocalStore::RecordCrc(const JournalRecord& rec) {
@@ -72,6 +95,9 @@ void LocalStore::ApplyBytes(FileHandle handle, FileOffset offset,
       chunk.first_write_seq = seq;
       allocated_ += kChunkBytes;
     }
+    // Intents on disjoint bytes may land out of journal order, so an
+    // older intent can write into a chunk a newer one allocated.
+    chunk.first_write_seq = std::min(chunk.first_write_seq, seq);
     std::memcpy(chunk.data.data() + within, data.data() + done, take);
     chunk.crc = Crc32c(chunk.data);
     done += take;
@@ -130,7 +156,22 @@ void LocalStore::WriteV(FileHandle handle,
 LocalStore::IntentId LocalStore::Stage(FileHandle handle,
                                        std::vector<Extent> pieces,
                                        std::vector<std::byte> data) {
-  std::lock_guard<std::mutex> lock(mu_);
+  std::unique_lock<std::mutex> lock(mu_);
+  // Overlapping intents land in journal order, which is the order repair
+  // and recovery replay them in: wait out a live writer of any of these
+  // bytes, and roll a crashed one forward (or back) before staging.
+  for (;;) {
+    auto pending = std::ranges::find_if(journal_, [&](const JournalRecord& r) {
+      return !r.committed && r.handle == handle &&
+             PiecesOverlap(r.pieces, pieces);
+    });
+    if (pending == journal_.end()) break;
+    if (pending->owned) {
+      intent_done_.wait(lock);
+    } else {
+      RecoverLocked();
+    }
+  }
   JournalRecord& rec = Append(handle, std::move(pieces), std::move(data));
   rec.owned = true;
   return rec.seq;
@@ -148,11 +189,13 @@ void LocalStore::Commit(IntentId intent) {
   rec->committed = true;  // commit mark written only after the data landed
   rec->owned = false;
   TrimJournal();
+  intent_done_.notify_all();
 }
 
 void LocalStore::Abandon(IntentId intent) {
   std::lock_guard<std::mutex> lock(mu_);
   if (JournalRecord* rec = Find(intent)) rec->owned = false;
+  intent_done_.notify_all();
 }
 
 void LocalStore::StageTorn(FileHandle handle, std::vector<Extent> pieces,
@@ -178,6 +221,10 @@ bool LocalStore::NeedsRecovery() const {
 
 LocalStore::RecoveryStats LocalStore::Recover() {
   std::lock_guard<std::mutex> lock(mu_);
+  return RecoverLocked();
+}
+
+LocalStore::RecoveryStats LocalStore::RecoverLocked() {
   RecoveryStats stats;
   for (JournalRecord& rec : journal_) {
     if (rec.committed || rec.owned) continue;
@@ -337,6 +384,7 @@ void LocalStore::Remove(FileHandle handle) {
     journal_data_bytes_ -= rec.data.size();
     return true;
   });
+  intent_done_.notify_all();  // staged intents on the handle are gone
 }
 
 ByteCount LocalStore::SizeOf(FileHandle handle) const {

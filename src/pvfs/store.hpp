@@ -18,7 +18,9 @@
 //     were never touched).
 //   * A staged intent is owned by its caller until Commit: Recover never
 //     replays or drops an intent a live writer still owns, so recovery
-//     run by one request cannot race another request's write.
+//     run by one request cannot race another request's write. Stage
+//     waits while a live intent overlaps the new one, so bytes written
+//     twice land in journal order — the order repair replays them in.
 //   * Scrub() walks every chunk, verifies checksums and repairs from the
 //     retained journal history where possible.
 //
@@ -29,6 +31,7 @@
 // to crashes (replay-or-rollback), not to concurrent readers.
 #pragma once
 
+#include <condition_variable>
 #include <cstddef>
 #include <cstdint>
 #include <deque>
@@ -80,7 +83,9 @@ class LocalStore {
 
   /// Journal a write intent before any of its bytes land. `data` holds the
   /// bytes of `pieces` (local extents) back to back. The caller owns the
-  /// intent until it calls Commit or Abandon.
+  /// intent until it calls Commit or Abandon. Blocks while a live intent
+  /// on the same handle overlaps these bytes, and first recovers a crashed
+  /// one that does, so overlapping intents land in journal order.
   IntentId Stage(FileHandle handle, std::vector<Extent> pieces,
                  std::vector<std::byte> data);
 
@@ -185,8 +190,8 @@ class LocalStore {
   struct Chunk {
     std::vector<std::byte> data;
     std::uint32_t crc = 0;
-    /// Journal seq of the record that allocated this chunk. The chunk is
-    /// reconstructible iff every record since then is still retained.
+    /// Lowest journal seq of any record that wrote into this chunk. The
+    /// chunk is reconstructible iff every record since then is retained.
     std::uint64_t first_write_seq = 0;
   };
 
@@ -217,12 +222,13 @@ class LocalStore {
   static bool RecordIntact(const JournalRecord& rec);
 
   /// Raw chunk mutation: no journaling, updates checksums and size.
-  /// `seq` stamps first_write_seq on chunks this call allocates.
+  /// Lowers first_write_seq of every touched chunk to `seq`.
   void ApplyBytes(FileHandle handle, FileOffset offset,
                   std::span<const std::byte> data, std::uint64_t seq);
   /// Land bytes [begin, begin + length) of a record's data.
   void ApplyRange(const JournalRecord& rec, ByteCount begin,
                   ByteCount length);
+  RecoveryStats RecoverLocked();
   /// Drop committed records from the front while over the retention cap.
   void TrimJournal();
   /// Rebuild a corrupt chunk by replaying its retained write history.
@@ -231,6 +237,9 @@ class LocalStore {
   /// Guards every member below. Public methods lock it; private helpers
   /// assume it is held.
   mutable std::mutex mu_;
+  /// Signalled when a staged intent stops being owned (Commit, Abandon,
+  /// Remove), waking Stage calls that overlap it.
+  std::condition_variable intent_done_;
   std::unordered_map<FileHandle, SparseFile> files_;
   std::deque<JournalRecord> journal_;
   std::uint64_t next_seq_ = 1;

@@ -426,6 +426,39 @@ TEST(IntentOwnership, ConcurrentRecoveryLeavesLiveIntentsAlone) {
   EXPECT_FALSE(iod.store().NeedsRecovery());
 }
 
+TEST(IntentOwnership, OverlappingIntentsLandInJournalOrder) {
+  // B overlaps A and is staged while A is still live: B's Stage waits for
+  // A's commit, so B's bytes land last, matching journal order. A repair
+  // that replays the journal then rebuilds exactly what was stored.
+  LocalStore store;
+  ByteBuffer a(1000, std::byte{0xAA});
+  const LocalStore::IntentId intent_a = store.Stage(kHandle, {{0, 1000}}, a);
+  std::atomic<bool> b_staged{false};
+  std::jthread writer([&] {
+    ByteBuffer b(1000, std::byte{0xBB});
+    const LocalStore::IntentId intent_b =
+        store.Stage(kHandle, {{500, 1000}}, b);
+    b_staged = true;
+    store.Apply(intent_b, 0, b.size());
+    store.Commit(intent_b);
+  });
+  std::this_thread::sleep_for(milliseconds(50));
+  EXPECT_FALSE(b_staged.load()) << "B staged over A's live intent";
+  store.Apply(intent_a, 0, a.size());
+  store.Commit(intent_a);
+  writer.join();
+
+  ByteBuffer want(1500, std::byte{0xBB});
+  std::fill(want.begin(), want.begin() + 500, std::byte{0xAA});
+  ByteBuffer out(1500);
+  ASSERT_TRUE(store.Read(kHandle, 0, out).ok());
+  EXPECT_EQ(out, want);
+  ASSERT_TRUE(store.CorruptStoredBit(0));
+  ASSERT_TRUE(store.Read(kHandle, 0, out).ok());
+  EXPECT_EQ(out, want);
+  EXPECT_EQ(store.integrity().read_repairs, 1u);
+}
+
 // ---- AsyncClient -----------------------------------------------------------
 
 TEST(AsyncClient, OutOfOrderCompletionsAcrossIodsRoundTrip) {

@@ -192,6 +192,61 @@ TEST(LocalStoreIntegrity, RecoverLeavesOwnedIntentsAlone) {
   EXPECT_FALSE(store.NeedsRecovery());
 }
 
+TEST(LocalStoreIntegrity, OutOfOrderApplyKeepsTrimmedHistoryUnrepairable) {
+  // A is staged first but lands second, into a chunk B allocated. Once
+  // retention trims A, the chunk's history is incomplete: a rotted bit
+  // must surface as kCorruption, never as a rebuild that drops A's bytes.
+  LocalStore store;
+  constexpr ByteCount kBulk = 3 * 1024 * 1024;  // so trimming takes A alone
+  ByteBuffer a_head(100, std::byte{0xA1});
+  ByteBuffer a = a_head;
+  a.resize(a_head.size() + kBulk, std::byte{0xA2});
+  const LocalStore::IntentId intent_a = store.Stage(
+      1, {{0, a_head.size()}, {8 * LocalStore::kChunkBytes, kBulk}}, a);
+  ByteBuffer b(100, std::byte{0xB1});
+  const LocalStore::IntentId intent_b = store.Stage(1, {{1000, 100}}, b);
+  store.Apply(intent_b, 0, b.size());
+  store.Commit(intent_b);
+  store.Apply(intent_a, 0, a.size());
+  store.Commit(intent_a);
+  // Push the journal past retention: A is trimmed, B stays.
+  store.Write(2, 0, ByteBuffer(1536 * 1024, std::byte{0xC1}));
+
+  ASSERT_TRUE(store.CorruptStoredBit(0));  // handle 1, chunk 0, byte 0
+  ByteBuffer out(a_head.size());
+  Status st = store.Read(1, 0, out);
+  if (st.ok()) {
+    EXPECT_EQ(out, a_head) << "rebuilt without the trimmed intent's bytes";
+  } else {
+    EXPECT_EQ(st.code(), ErrorCode::kCorruption);
+  }
+}
+
+TEST(LocalStoreIntegrity, StageRecoversAnAbandonedOverlapFirst) {
+  // A crashed intent on the same bytes is redone before a newer one is
+  // staged, so the newer intent's bytes win — recovery never replays the
+  // older intent over them later.
+  LocalStore store;
+  ByteBuffer a(400, std::byte{0x11});
+  const LocalStore::IntentId intent_a = store.Stage(1, {{0, 400}}, a);
+  store.Apply(intent_a, 0, 200);
+  store.Abandon(intent_a);
+
+  ByteBuffer b(200, std::byte{0x22});
+  const LocalStore::IntentId intent_b = store.Stage(1, {{100, 200}}, b);
+  EXPECT_EQ(store.integrity().journal_replays, 1u);
+  store.Apply(intent_b, 0, b.size());
+  store.Commit(intent_b);
+  EXPECT_FALSE(store.NeedsRecovery());
+  EXPECT_EQ(store.Recover().replayed, 0u);
+
+  ByteBuffer want(400, std::byte{0x11});
+  std::fill(want.begin() + 100, want.begin() + 300, std::byte{0x22});
+  ByteBuffer out(400);
+  ASSERT_TRUE(store.Read(1, 0, out).ok());
+  EXPECT_EQ(out, want);
+}
+
 TEST(LocalStoreIntegrity, MultiPieceWriteVIsOneIntent) {
   LocalStore store;
   ByteBuffer a(100, std::byte{1}), b(100, std::byte{2});
