@@ -2,8 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <mutex>
+#include <string>
+#include <vector>
+
 #include "common/bytes.hpp"
 #include "common/rng.hpp"
+#include "common/wire.hpp"
+#include "pvfs/protocol.hpp"
 #include "test_cluster.hpp"
 
 namespace pvfs {
@@ -434,6 +441,166 @@ TEST(Client, SegmentChunkingEqualsNativeForContiguousMemory) {
   ExtentList mem{{0, buffer.size()}};
   ASSERT_TRUE(romio.WriteList(*fd, mem, buffer, file).ok());
   EXPECT_EQ(romio.stats().fs_requests, 2u);  // ceil(100/64), same as native
+}
+
+// ---- Client retry contract ------------------------------------------------
+//
+// One table pins what a per-server exchange does when every iod answers
+// with the same retryable error: the final status, the calls each iod
+// received, the retry counters and their per-code split, and the failover
+// counters. Replication 1 and 2 share the table, so the one-replica set
+// is checked against exactly the contract the replicated path keeps.
+
+/// Answers every iod call with one injected error and counts the calls
+/// each iod received; manager calls pass through. kUnavailable arrives as
+/// a transport failure (connection refused); kBusy and kCorruption arrive
+/// inside a sealed response envelope, as an admission shed or a daemon's
+/// rejection of a damaged request frame would.
+class ErrorInjectingTransport final : public Transport {
+ public:
+  ErrorInjectingTransport(Transport* inner, ErrorCode code)
+      : inner_(inner), code_(code), calls_(inner->server_count()) {}
+
+  Result<std::vector<std::byte>> Call(
+      const Endpoint& dest, std::span<const std::byte> request) override {
+    if (dest.is_manager) return inner_->Call(dest, request);
+    {
+      std::lock_guard lock(mutex_);
+      ++calls_[dest.server];
+    }
+    const Status injected(code_, "injected");
+    if (code_ == ErrorCode::kUnavailable) return injected;
+    return SealFrame(EncodeResponse(injected, {}));
+  }
+
+  std::uint32_t server_count() const override {
+    return inner_->server_count();
+  }
+
+  std::vector<std::uint32_t> calls() {
+    std::lock_guard lock(mutex_);
+    return calls_;
+  }
+
+ private:
+  Transport* inner_;
+  ErrorCode code_;
+  std::mutex mutex_;
+  std::vector<std::uint32_t> calls_;
+};
+
+struct ContractCell {
+  // Inputs.
+  std::uint32_t replicas;
+  ErrorCode injected;
+  std::uint32_t max_attempts;
+  bool budgeted;  // op_deadline 50 ms (and a 50 ms backoff) vs no budget
+  // Expected outcome, identical for a write and a read.
+  ErrorCode final_code;
+  std::uint32_t calls_iod0;
+  std::uint32_t calls_iod1;
+  std::uint64_t retries_injected;  // retries counted under `injected`
+  std::uint64_t retries_deadline;  // retries counted under kDeadlineExceeded
+  std::uint64_t exhausted;
+  std::uint64_t retargets;
+  std::uint64_t ejected;
+};
+
+std::string CellName(const ContractCell& c, bool write) {
+  return std::string(write ? "write" : "read") +
+         " replicas=" + std::to_string(c.replicas) + " error=" +
+         std::to_string(static_cast<int>(c.injected)) +
+         " max_attempts=" + std::to_string(c.max_attempts) +
+         (c.budgeted ? " op_deadline=50ms" : " op_deadline=0");
+}
+
+std::uint64_t RetriesUnder(const Client::RetryCounters& r, ErrorCode code) {
+  switch (code) {
+    case ErrorCode::kUnavailable: return r.retries_unavailable;
+    case ErrorCode::kBusy: return r.retries_busy;
+    case ErrorCode::kCorruption: return r.retries_corruption;
+    case ErrorCode::kDeadlineExceeded: return r.retries_deadline;
+    default: return 0;
+  }
+}
+
+constexpr ErrorCode kU = ErrorCode::kUnavailable;
+constexpr ErrorCode kB = ErrorCode::kBusy;
+constexpr ErrorCode kC = ErrorCode::kCorruption;
+constexpr ErrorCode kD = ErrorCode::kDeadlineExceeded;
+
+// A 1,000 B access at offset 0 touches file-relative server 0 only; with
+// two replicas its copy lives on server 1 (striping base 0, pcount 2).
+// Health ejects after eject_after = 3 consecutive failures.
+const ContractCell kContract[] = {
+    // replicas, error, attempts, budget -> code, calls 0/1,
+    //   retries (injected, deadline), exhausted, retargets, ejected
+    {1, kU, 1, false, kU, 1, 0, 0, 0, 1, 0, 0},
+    {1, kU, 1, true, kU, 1, 0, 0, 0, 1, 0, 0},
+    {1, kU, 3, false, kD, 3, 0, 2, 0, 1, 0, 0},
+    {1, kU, 3, true, kD, 2, 0, 1, 0, 1, 0, 0},
+    {1, kB, 1, false, kB, 1, 0, 0, 0, 1, 0, 0},
+    {1, kB, 1, true, kB, 1, 0, 0, 0, 1, 0, 0},
+    {1, kB, 3, false, kD, 3, 0, 2, 0, 1, 0, 0},
+    {1, kB, 3, true, kD, 2, 0, 1, 0, 1, 0, 0},
+    {1, kC, 1, false, kC, 1, 0, 0, 0, 1, 0, 0},
+    {1, kC, 1, true, kC, 1, 0, 0, 0, 1, 0, 0},
+    {1, kC, 3, false, kD, 3, 0, 2, 0, 1, 0, 0},
+    {1, kC, 3, true, kD, 2, 0, 1, 0, 1, 0, 0},
+    {2, kU, 1, false, kU, 1, 1, 0, 0, 1, 0, 0},
+    {2, kU, 1, true, kU, 1, 1, 0, 0, 1, 0, 0},
+    {2, kU, 3, false, kU, 3, 3, 2, 0, 1, 0, 2},
+    {2, kU, 3, true, kD, 2, 2, 1, 0, 1, 0, 0},
+    {2, kB, 1, false, kB, 1, 0, 0, 0, 1, 0, 0},
+    {2, kB, 1, true, kB, 1, 0, 0, 0, 1, 0, 0},
+    {2, kB, 3, false, kD, 9, 9, 12, 2, 7, 0, 2},
+    {2, kB, 3, true, kD, 2, 2, 2, 0, 3, 0, 0},
+    {2, kC, 1, false, kC, 1, 0, 0, 0, 1, 0, 0},
+    {2, kC, 1, true, kC, 1, 0, 0, 0, 1, 0, 0},
+    {2, kC, 3, false, kD, 9, 9, 12, 2, 7, 0, 2},
+    {2, kC, 3, true, kD, 2, 2, 2, 0, 3, 0, 0},
+};
+
+TEST(ClientRetryContract, EveryCellMatchesTheTable) {
+  using std::chrono::milliseconds;
+  for (const ContractCell& cell : kContract) {
+    for (bool write : {true, false}) {
+      SCOPED_TRACE(CellName(cell, write));
+      InProcCluster cluster(4);
+      ErrorInjectingTransport faulty(cluster.transport.get(), cell.injected);
+      Client::Options options;
+      options.retry.max_attempts = cell.max_attempts;
+      options.retry.jitter = false;
+      // With a budget, the first backoff spends all of it: the second
+      // attempt is the last one, whatever the attempt cap allows.
+      const milliseconds pause = cell.budgeted ? milliseconds(50)
+                                               : milliseconds(1);
+      options.retry.initial_backoff = pause;
+      options.retry.max_backoff = pause;
+      if (cell.budgeted) options.retry.op_deadline = milliseconds(50);
+      Client client(&faulty, options);
+      auto fd = client.Create("f", Striping{0, 2, 16384},
+                              ReplicationConfig{cell.replicas});
+      ASSERT_TRUE(fd.ok()) << fd.status().ToString();
+
+      ByteBuffer data(1000);
+      FillPattern(data, 3, 0);
+      const Status status = write ? client.Write(*fd, 0, data)
+                                  : client.Read(*fd, 0, data);
+      EXPECT_EQ(status.code(), cell.final_code) << status.ToString();
+      const std::vector<std::uint32_t> calls = faulty.calls();
+      EXPECT_EQ(calls[0], cell.calls_iod0);
+      EXPECT_EQ(calls[1], cell.calls_iod1);
+      EXPECT_EQ(calls[2] + calls[3], 0u);
+      const Client::RetryCounters r = client.retry_counters();
+      EXPECT_EQ(RetriesUnder(r, cell.injected), cell.retries_injected);
+      EXPECT_EQ(r.retries_deadline, cell.retries_deadline);
+      EXPECT_EQ(r.retries, cell.retries_injected + cell.retries_deadline);
+      EXPECT_EQ(r.exhausted, cell.exhausted);
+      EXPECT_EQ(client.failover_counters().retargets, cell.retargets);
+      EXPECT_EQ(client.failover_counters().ejected_replicas, cell.ejected);
+    }
+  }
 }
 
 }  // namespace
