@@ -452,9 +452,7 @@ Status Client::ValidateListArgs(std::span<const Extent> mem_regions,
 }
 
 Result<std::vector<std::byte>> Client::ExchangeOnce(
-    const OpenFile& file, ServerId relative, const IoRequest& request) const {
-  ServerId global = (file.meta.striping.base + relative) %
-                    transport_->server_count();
+    ServerId global, const IoRequest& request) const {
   PVFS_ASSIGN_OR_RETURN(
       DecodedResponse resp,
       SealedCall(Endpoint::Iod(global), request.Encode()));
@@ -522,47 +520,40 @@ void Client::RecordReplicaFailure(ServerId global) const {
   }
 }
 
-Result<std::vector<std::byte>> Client::ExchangeWithServer(
-    const OpenFile& file, ServerId relative, const IoRequest& request,
-    bool failover_fast) const {
-  PVFS_SPAN("client.exchange");
+template <typename Round>
+Status Client::RetryRounds(const OpenFile& file, ServerId primary,
+                           const Round& round) const {
   const RetryPolicy& policy = options_.retry;
   // Distinct jitter stream per (client, server): mix the client's unique
   // lock-owner token with the server id.
   const std::uint64_t stream =
-      lock_owner_ * 0x9E3779B97F4A7C15ull ^ static_cast<std::uint64_t>(relative);
+      lock_owner_ * 0x9E3779B97F4A7C15ull ^ static_cast<std::uint64_t>(primary);
   std::chrono::microseconds backoff = policy.initial_backoff;
-  // The op-deadline budget runs from the FIRST attempt: a retry loop that
-  // restarted its budget per attempt could sleep unboundedly under a
-  // flapping server, which is the bug RetryPolicy::op_deadline fixes.
+  // One budget per exchange, running from the FIRST attempt and shared by
+  // every replica leg and round: a budget restarted per attempt or per leg
+  // could sleep unboundedly under a flapping server, which is the bug
+  // RetryPolicy::op_deadline fixes.
   const bool budgeted = policy.op_deadline.count() > 0;
   const auto deadline = std::chrono::steady_clock::now() + policy.op_deadline;
-  std::uint32_t attempt = 1;
-  while (true) {
-    auto result = ExchangeOnce(file, relative, request);
-    if (result.ok() || !IsRetryable(result.status().code())) {
-      return result;
-    }
-    if (failover_fast && IsFailoverEligible(result.status().code())) {
-      // The replicated caller owns recovery for dead-endpoint errors:
-      // surface immediately (no backoff, no exhausted accounting) so it
-      // can retarget a surviving replica.
-      return result;
-    }
-    if (policy.max_attempts <= 1) {
-      // Fail-fast still exhausts its (single-attempt) budget: count it, or
-      // the "exchanges that ran out of attempts" counter under-reports
-      // exactly when retries are disabled. The original error is
-      // surfaced unchanged.
+  for (std::uint32_t attempt = 1;; ++attempt) {
+    Status status = round();
+    if (status.ok() || !IsRetryable(status.code())) return status;
+    // Every way out below ran out of attempts or time: the exchange counts
+    // once in retry_exhausted, whatever the replica count.
+    const auto give_up = [&](const std::string& why) {
       ++retry_exhausted_;
-      return result;
+      return DeadlineExceeded("exchange with server " +
+                              std::to_string(GlobalOf(file, primary)) + why +
+                              " attempts; last error: " + status.ToString());
+    };
+    if (policy.max_attempts <= 1) {
+      // Fail-fast still exhausts its (single-attempt) budget, but the
+      // original error surfaces unchanged.
+      ++retry_exhausted_;
+      return status;
     }
     if (attempt >= policy.max_attempts) {
-      ++retry_exhausted_;
-      return DeadlineExceeded(
-          "exchange with server " + std::to_string(relative) + " failed " +
-          std::to_string(attempt) + " attempts; last error: " +
-          result.status().ToString());
+      return give_up(" failed " + std::to_string(attempt));
     }
     std::chrono::microseconds sleep = backoff;
     if (budgeted) {
@@ -570,190 +561,126 @@ Result<std::vector<std::byte>> Client::ExchangeWithServer(
           std::chrono::duration_cast<std::chrono::microseconds>(
               deadline - std::chrono::steady_clock::now());
       if (remaining <= std::chrono::microseconds::zero()) {
-        ++retry_exhausted_;
-        return DeadlineExceeded(
-            "exchange with server " + std::to_string(relative) +
-            ": op_deadline spent after " + std::to_string(attempt) +
-            " attempts; last error: " + result.status().ToString());
+        return give_up(": op_deadline spent after " + std::to_string(attempt));
       }
       // Clamp the final sleep to the remaining budget so the loop wakes
       // with time for exactly one more attempt instead of oversleeping
       // past the deadline.
       sleep = std::min(sleep, remaining);
     }
-    ++attempt;
     ++retries_;
-    CountRetryCode(result.status().code());
+    CountRetryCode(status.code());
     std::this_thread::sleep_for(sleep);
     backoff_us_ += static_cast<std::uint64_t>(sleep.count());
     backoff = NextBackoff(backoff, policy.initial_backoff, policy.max_backoff,
-                          fault::kSiteRetryBackoff, stream, attempt);
+                          fault::kSiteRetryBackoff, stream, attempt + 1);
   }
 }
 
-Result<std::vector<std::byte>> Client::ReadReplicated(
-    const OpenFile& file, ServerId primary, const IoRequest& request) const {
-  PVFS_SPAN("client.read_replicated");
-  const Distribution dist(file.meta.layout());
+Result<std::vector<std::byte>> Client::Exchange(const OpenFile& file,
+                                                const Distribution& dist,
+                                                IoRequest& request) const {
+  PVFS_SPAN("client.exchange");
+  const ServerId primary = request.server_index;
+  const FileHandle handle = request.handle;
+  const bool is_write = request.op == IoOp::kWrite;
   const std::uint32_t replicas = dist.EffectiveReplicas();
-  const RetryPolicy& policy = options_.retry;
-  const std::uint32_t max_rounds = std::max<std::uint32_t>(policy.max_attempts, 1);
-  const std::uint64_t stream = lock_owner_ * 0x9E3779B97F4A7C15ull ^
-                               static_cast<std::uint64_t>(primary) ^
-                               0xA5A5A5A5ull;
-  std::chrono::microseconds backoff = policy.initial_backoff;
-  const bool budgeted = policy.op_deadline.count() > 0;
-  const auto deadline = std::chrono::steady_clock::now() + policy.op_deadline;
-  Status last = Unavailable("no replica reachable");
-  for (std::uint32_t round = 1;; ++round) {
+  // Health picks where to fail over to; a set of one has nowhere to go,
+  // so it keeps no health record and never ejects its only endpoint.
+  const bool can_fail_over = replicas > 1;
+  std::vector<bool> acked(replicas);
+  std::uint32_t acks = 0;
+  std::vector<std::byte> body;
+  // One attempt is one round over the replica set in placement order. A
+  // kUnavailable/kDeadlineExceeded moves on to the next replica; any other
+  // error ends the round, so a retryable one (kBusy, kCorruption, ...) is
+  // retried in place on the next attempt. A read stops at the first
+  // answer; a write sends every replica that has not acked yet.
+  Status status = RetryRounds(file, primary, [&]() -> Status {
+    Status last = Unavailable("no replica reachable");
     // Pass 0 honours ejections; pass 1 runs only if every candidate was
     // benched, so a fully-ejected replica set still gets probed instead of
     // sleeping the round away.
     bool attempted = false;
     for (int pass = 0; pass < 2 && !attempted; ++pass) {
       for (std::uint32_t k = 0; k < replicas; ++k) {
-        const ServerId route = dist.ReplicaOf(primary, k);
-        const ServerId global = GlobalOf(file, route);
-        if (pass == 0 && SkipReplica(global)) continue;
-        attempted = true;
-        IoRequest leg = request;
-        leg.handle = ReplicaHandle(request.handle, k);
-        auto body = ExchangeWithServer(file, route, leg, /*failover_fast=*/true);
-        if (body.ok()) {
-          RecordReplicaSuccess(global);
-          if (k > 0) ++retargets_;  // served degraded, off the primary
-          return body;
-        }
-        if (!IsFailoverEligible(body.status().code())) return body;
-        RecordReplicaFailure(global);
-        last = body.status();
-      }
-    }
-    if (round >= max_rounds) {
-      ++retry_exhausted_;
-      return last;
-    }
-    std::chrono::microseconds sleep = backoff;
-    if (budgeted) {
-      const auto remaining =
-          std::chrono::duration_cast<std::chrono::microseconds>(
-              deadline - std::chrono::steady_clock::now());
-      if (remaining <= std::chrono::microseconds::zero()) {
-        ++retry_exhausted_;
-        return DeadlineExceeded(
-            "replicated read: op_deadline spent after " +
-            std::to_string(round) + " rounds; last error: " +
-            last.ToString());
-      }
-      sleep = std::min(sleep, remaining);
-    }
-    ++retries_;
-    CountRetryCode(last.code());
-    std::this_thread::sleep_for(sleep);
-    backoff_us_ += static_cast<std::uint64_t>(sleep.count());
-    backoff = NextBackoff(backoff, policy.initial_backoff, policy.max_backoff,
-                          fault::kSiteRetryBackoff, stream, round);
-  }
-}
-
-Status Client::WriteReplicated(const OpenFile& file, ServerId primary,
-                               const IoRequest& request) const {
-  PVFS_SPAN("client.write_replicated");
-  const Distribution dist(file.meta.layout());
-  const std::uint32_t replicas = dist.EffectiveReplicas();
-  const RetryPolicy& policy = options_.retry;
-  const std::uint32_t max_rounds = std::max<std::uint32_t>(policy.max_attempts, 1);
-  const std::uint64_t stream = lock_owner_ * 0x9E3779B97F4A7C15ull ^
-                               static_cast<std::uint64_t>(primary) ^
-                               0x5A5A5A5Aull;
-  std::chrono::microseconds backoff = policy.initial_backoff;
-  const bool budgeted = policy.op_deadline.count() > 0;
-  const auto deadline = std::chrono::steady_clock::now() + policy.op_deadline;
-  Status last = Unavailable("no replica reachable");
-  for (std::uint32_t round = 1;; ++round) {
-    std::uint32_t acks = 0;
-    bool attempted = false;
-    for (int pass = 0; pass < 2 && !attempted; ++pass) {
-      for (std::uint32_t k = 0; k < replicas; ++k) {
-        const ServerId route = dist.ReplicaOf(primary, k);
-        const ServerId global = GlobalOf(file, route);
-        if (pass == 0 && SkipReplica(global)) continue;
-        attempted = true;
-        IoRequest leg = request;
-        leg.handle = ReplicaHandle(request.handle, k);
-        auto body = ExchangeWithServer(file, route, leg, /*failover_fast=*/true);
-        if (body.ok()) {
-          RecordReplicaSuccess(global);
-          ++acks;
+        const ServerId global = GlobalOf(file, dist.ReplicaOf(primary, k));
+        if (acked[k] || (pass == 0 && can_fail_over && SkipReplica(global))) {
           continue;
         }
-        if (!IsFailoverEligible(body.status().code())) return body.status();
-        RecordReplicaFailure(global);
-        last = body.status();
+        attempted = true;
+        // Every replica serves the primary's fragment set (selected by
+        // server_index, not its own id) under a derived handle, giving
+        // each copy the primary's exact local layout.
+        request.handle = ReplicaHandle(handle, k);
+        auto reply = ExchangeOnce(global, request);
+        if (!reply.ok()) {
+          if (!IsFailoverEligible(reply.status().code())) {
+            return reply.status();
+          }
+          if (can_fail_over) RecordReplicaFailure(global);
+          last = reply.status();
+          continue;
+        }
+        if (can_fail_over) RecordReplicaSuccess(global);
+        if (!is_write) {
+          if (k > 0) ++retargets_;  // served degraded, off the primary
+          body = std::move(*reply);
+          return Status::Ok();
+        }
+        acked[k] = true;
+        ++acks;
       }
     }
-    if (acks > 0) {
-      // Degraded ack: the op succeeds; every copy it proceeded without is
-      // a retarget, restored later by re-replication (docs/replication.md).
-      retargets_ += replicas - acks;
-      return Status::Ok();
-    }
-    if (round >= max_rounds) {
-      ++retry_exhausted_;
-      return last;
-    }
-    std::chrono::microseconds sleep = backoff;
-    if (budgeted) {
-      const auto remaining =
-          std::chrono::duration_cast<std::chrono::microseconds>(
-              deadline - std::chrono::steady_clock::now());
-      if (remaining <= std::chrono::microseconds::zero()) {
-        ++retry_exhausted_;
-        return DeadlineExceeded(
-            "replicated write: op_deadline spent after " +
-            std::to_string(round) + " rounds; last error: " +
-            last.ToString());
-      }
-      sleep = std::min(sleep, remaining);
-    }
-    ++retries_;
-    CountRetryCode(last.code());
-    std::this_thread::sleep_for(sleep);
-    backoff_us_ += static_cast<std::uint64_t>(sleep.count());
-    backoff = NextBackoff(backoff, policy.initial_backoff, policy.max_backoff,
-                          fault::kSiteRetryBackoff, stream, round);
-  }
+    if (acks == 0) return last;
+    // Degraded ack: the write succeeds; every copy it proceeded without is
+    // a retarget, restored later by re-replication (docs/replication.md).
+    retargets_ += replicas - acks;
+    return Status::Ok();
+  });
+  if (!status.ok()) return status;
+  return body;
 }
 
-namespace {
-
-/// Runs one callable per element, either inline or on one thread each
-/// (the client library's per-iod fan-out). BOTH modes contact every
-/// server and return the first (index-order) error: stopping the serial
-/// walk at the first failure would leave a different partial-write
-/// footprint than the parallel path, making recovery behaviour depend on
-/// `parallel_fanout`.
-template <typename Item, typename Fn>
-Status ForEachServer(bool parallel, std::vector<Item>& items, const Fn& fn) {
-  std::vector<Status> results(items.size());
-  if (!parallel || items.size() <= 1) {
-    for (size_t i = 0; i < items.size(); ++i) {
-      results[i] = fn(i);
-    }
+template <typename Fn>
+Status Client::ForEachServer(std::size_t n, const Fn& fn) {
+  // BOTH modes contact every server and return the first (index-order)
+  // error: stopping the serial walk at the first failure would leave a
+  // different partial-write footprint than the parallel path, making
+  // recovery behaviour depend on `parallel_fanout`.
+  std::vector<Status> results(n);
+  if (!options_.parallel_fanout || n <= 1) {
+    for (std::size_t i = 0; i < n; ++i) results[i] = fn(i);
   } else {
-    std::vector<std::jthread> threads;
-    threads.reserve(items.size());
-    for (size_t i = 0; i < items.size(); ++i) {
-      threads.emplace_back([&, i] { results[i] = fn(i); });
-    }
+    // Legs are claimed from a shared counter by up to n-1 pool helpers AND
+    // by this thread, which therefore never waits on a leg nobody runs —
+    // even when it is itself a pool worker and the pool is saturated. A
+    // helper that starts after every leg was claimed touches nothing but
+    // the shared batch.
+    struct Batch {
+      std::atomic<std::size_t> next{0};
+      std::mutex mu;
+      std::condition_variable cv;
+      std::size_t done = 0;
+    };
+    auto batch = std::make_shared<Batch>();
+    const auto run_legs = [batch, n, &fn, &results] {
+      for (std::size_t i; (i = batch->next.fetch_add(1)) < n;) {
+        results[i] = fn(i);
+        std::lock_guard<std::mutex> lock(batch->mu);
+        if (++batch->done == n) batch->cv.notify_all();
+      }
+    };
+    for (std::size_t helper = 1; helper < n; ++helper) Post(run_legs);
+    run_legs();
+    std::unique_lock<std::mutex> lock(batch->mu);
+    batch->cv.wait(lock, [&] { return batch->done == n; });
   }
   for (const Status& status : results) {
     PVFS_RETURN_IF_ERROR(status);
   }
   return Status::Ok();
 }
-
-}  // namespace
 
 Status Client::WriteChunk(OpenFile& file, std::span<const Extent> chunk,
                           std::span<const std::byte> stream) {
@@ -788,26 +715,17 @@ Status Client::WriteChunk(OpenFile& file, std::span<const Extent> chunk,
     stats_.messages += payloads.size() * replicas;
     stats_.regions_sent += payloads.size() * replicas * chunk.size();
   }
-  PVFS_RETURN_IF_ERROR(ForEachServer(
-      options_.parallel_fanout, payloads, [&](size_t i) -> Status {
-        IoRequest req;
-        req.handle = file.meta.handle;
-        req.striping = file.meta.striping;
-        req.dist = file.meta.dist;
-        req.server_index = payloads[i].first;
-        req.op = IoOp::kWrite;
-        req.regions.assign(chunk.begin(), chunk.end());
-        req.payload = std::move(payloads[i].second);
-        if (replicas > 1) {
-          // Fan the identical request out to every replica of this
-          // primary: a secondary serves the same fragment set (selected by
-          // server_index, not its own id) under a derived handle, giving
-          // each copy the primary's exact local layout.
-          return WriteReplicated(file, payloads[i].first, req);
-        }
-        auto body = ExchangeWithServer(file, payloads[i].first, req);
-        return body.status();
-      }));
+  PVFS_RETURN_IF_ERROR(ForEachServer(payloads.size(), [&](size_t i) -> Status {
+    IoRequest req;
+    req.handle = file.meta.handle;
+    req.striping = file.meta.striping;
+    req.dist = file.meta.dist;
+    req.server_index = payloads[i].first;
+    req.op = IoOp::kWrite;
+    req.regions.assign(chunk.begin(), chunk.end());
+    req.payload = std::move(payloads[i].second);
+    return Exchange(file, dist, req).status();
+  }));
   {
     std::lock_guard<std::mutex> lock(stats_mu_);
     stats_.bytes_written += stream.size();
@@ -821,7 +739,6 @@ Status Client::WriteChunk(OpenFile& file, std::span<const Extent> chunk,
 Status Client::ReadChunk(OpenFile& file, std::span<const Extent> chunk,
                          std::span<std::byte> stream) {
   Distribution dist(file.meta.layout());
-  const std::uint32_t replicas = dist.EffectiveReplicas();
   std::vector<ServerId> involved = dist.InvolvedServers(chunk);
 
   {
@@ -831,24 +748,19 @@ Status Client::ReadChunk(OpenFile& file, std::span<const Extent> chunk,
     stats_.regions_sent += involved.size() * chunk.size();
   }
   std::vector<IoResponse> collected(involved.size());
-  PVFS_RETURN_IF_ERROR(ForEachServer(
-      options_.parallel_fanout, involved, [&](size_t i) -> Status {
-        IoRequest req;
-        req.handle = file.meta.handle;
-        req.striping = file.meta.striping;
-        req.dist = file.meta.dist;
-        req.server_index = involved[i];
-        req.op = IoOp::kRead;
-        req.regions.assign(chunk.begin(), chunk.end());
-        auto body = replicas > 1
-                        ? ReadReplicated(file, involved[i], req)
-                        : ExchangeWithServer(file, involved[i], req);
-        if (!body.ok()) return body.status();
-        auto io = IoResponse::Decode(*body);
-        if (!io.ok()) return io.status();
-        collected[i] = std::move(*io);
-        return Status::Ok();
-      }));
+  PVFS_RETURN_IF_ERROR(ForEachServer(involved.size(), [&](size_t i) -> Status {
+    IoRequest req;
+    req.handle = file.meta.handle;
+    req.striping = file.meta.striping;
+    req.dist = file.meta.dist;
+    req.server_index = involved[i];
+    req.op = IoOp::kRead;
+    req.regions.assign(chunk.begin(), chunk.end());
+    PVFS_ASSIGN_OR_RETURN(std::vector<std::byte> body,
+                          Exchange(file, dist, req));
+    PVFS_ASSIGN_OR_RETURN(collected[i], IoResponse::Decode(body));
+    return Status::Ok();
+  }));
   std::unordered_map<ServerId, IoResponse> responses;
   for (size_t i = 0; i < involved.size(); ++i) {
     responses.emplace(involved[i], std::move(collected[i]));
@@ -894,54 +806,43 @@ Result<ExtentList> Client::ChunkableRegions(
   return out;
 }
 
-Status Client::DoReadList(OpenFile& file, std::span<const Extent> mem_regions,
-                          std::span<std::byte> buffer,
-                          std::span<const Extent> file_regions) {
-  PVFS_RETURN_IF_ERROR(
-      ValidateListArgs(mem_regions, buffer.size(), file_regions));
-  {
-    std::lock_guard<std::mutex> lock(stats_mu_);
-    ++stats_.operations;
-  }
-  if (options_.bcache.enabled) {
-    return CachedReadList(file, mem_regions, buffer, file_regions);
-  }
-
-  PVFS_ASSIGN_OR_RETURN(ExtentList chunkable,
-                        ChunkableRegions(mem_regions, file_regions));
-  StreamCursor cursor(mem_regions);
-  std::vector<std::byte> stream;
-  for (const ExtentList& chunk : ChunkRegions(chunkable,
-                                              options_.max_list_regions)) {
-    stream.resize(TotalBytes(chunk));
-    PVFS_RETURN_IF_ERROR(ReadChunk(file, chunk, stream));
-    cursor.Scatter(stream, buffer);
-  }
-  return Status::Ok();
+Status Client::RunList(Fd fd, OpenFile& file, const ListCall& call) {
+  const Status status = DoList(file, call);
+  // Merge the high-water mark even on a partial failure: completed chunks
+  // extended the file.
+  if (call.is_write) MergeHighWater(fd, file.high_water);
+  return status;
 }
 
-Status Client::DoWriteList(OpenFile& file, std::span<const Extent> mem_regions,
-                           std::span<const std::byte> buffer,
-                           std::span<const Extent> file_regions) {
-  PVFS_RETURN_IF_ERROR(
-      ValidateListArgs(mem_regions, buffer.size(), file_regions));
+Status Client::DoList(OpenFile& file, const ListCall& call) {
+  PVFS_RETURN_IF_ERROR(ValidateListArgs(
+      call.mem_regions, call.is_write ? call.in.size() : call.out.size(),
+      call.file_regions));
   {
     std::lock_guard<std::mutex> lock(stats_mu_);
     ++stats_.operations;
   }
   if (options_.bcache.enabled) {
-    return CachedWriteList(file, mem_regions, buffer, file_regions);
+    return call.is_write ? CachedWriteList(file, call.mem_regions, call.in,
+                                           call.file_regions)
+                         : CachedReadList(file, call.mem_regions, call.out,
+                                          call.file_regions);
   }
 
   PVFS_ASSIGN_OR_RETURN(ExtentList chunkable,
-                        ChunkableRegions(mem_regions, file_regions));
-  StreamCursor cursor(mem_regions);
+                        ChunkableRegions(call.mem_regions, call.file_regions));
+  StreamCursor cursor(call.mem_regions);
   std::vector<std::byte> stream;
   for (const ExtentList& chunk : ChunkRegions(chunkable,
                                               options_.max_list_regions)) {
     stream.resize(TotalBytes(chunk));
-    cursor.Gather(buffer, stream);
-    PVFS_RETURN_IF_ERROR(WriteChunk(file, chunk, stream));
+    if (call.is_write) {
+      cursor.Gather(call.in, stream);
+      PVFS_RETURN_IF_ERROR(WriteChunk(file, chunk, stream));
+    } else {
+      PVFS_RETURN_IF_ERROR(ReadChunk(file, chunk, stream));
+      cursor.Scatter(stream, call.out);
+    }
   }
   return Status::Ok();
 }
@@ -1017,18 +918,14 @@ Status Client::ReadList(Fd fd, std::span<const Extent> mem_regions,
                         std::span<std::byte> buffer,
                         std::span<const Extent> file_regions) {
   PVFS_ASSIGN_OR_RETURN(OpenFile file, SnapshotFd(fd));
-  return DoReadList(file, mem_regions, buffer, file_regions);
+  return RunList(fd, file, {false, mem_regions, buffer, {}, file_regions});
 }
 
 Status Client::WriteList(Fd fd, std::span<const Extent> mem_regions,
                          std::span<const std::byte> buffer,
                          std::span<const Extent> file_regions) {
   PVFS_ASSIGN_OR_RETURN(OpenFile file, SnapshotFd(fd));
-  // Merge the high-water mark even on a partial failure: completed chunks
-  // extended the file exactly as before this path snapshotted descriptors.
-  const Status status = DoWriteList(file, mem_regions, buffer, file_regions);
-  MergeHighWater(fd, file.high_water);
-  return status;
+  return RunList(fd, file, {true, mem_regions, {}, buffer, file_regions});
 }
 
 Status Client::Read(Fd fd, FileOffset offset, std::span<std::byte> out) {
@@ -1058,14 +955,13 @@ struct Client::Operation::State {
   Status result = Status::Ok();
 
   // The deferred call, captured at submission. Extent lists are copied
-  // (cheap, bounded); data buffers stay caller-owned per the API contract.
-  bool is_write = false;
+  // (cheap, bounded) and `call` points at the copies; data buffers stay
+  // caller-owned per the API contract.
   Fd fd = -1;
   OpenFile file;  // descriptor snapshot taken at submit time
   std::vector<Extent> mem_regions;
   std::vector<Extent> file_regions;
-  std::span<std::byte> out;       // read destination
-  std::span<const std::byte> in;  // write source
+  ListCall call;
 };
 
 bool Client::Operation::Test() const {
@@ -1097,67 +993,58 @@ bool Client::Operation::Cancel() {
 
 Client::~Client() {
   {
-    std::lock_guard<std::mutex> lock(async_mu_);
-    async_stopping_ = true;
+    std::lock_guard<std::mutex> lock(pool_mu_);
+    pool_stopping_ = true;
   }
-  async_cv_.notify_all();
-  for (std::thread& worker : async_workers_) worker.join();
+  pool_cv_.notify_all();
+  for (std::thread& worker : pool_) worker.join();
 }
 
-void Client::EnsureAsyncWorkers() {
-  std::lock_guard<std::mutex> lock(async_mu_);
-  if (!async_workers_.empty()) return;
-  const std::uint32_t n = std::max<std::uint32_t>(1, options_.async_workers);
-  async_workers_.reserve(n);
-  for (std::uint32_t i = 0; i < n; ++i) {
-    async_workers_.emplace_back([this] { AsyncWorkerLoop(); });
+void Client::Post(std::function<void()> task) {
+  {
+    std::lock_guard<std::mutex> lock(pool_mu_);
+    pool_queue_.push_back(std::move(task));
+    if (pool_.empty()) {
+      const std::uint32_t fanout =
+          options_.parallel_fanout ? transport_->server_count() : 1;
+      const std::uint32_t n =
+          std::max<std::uint32_t>(1, options_.async_workers) *
+          std::max<std::uint32_t>(1, fanout);
+      pool_.reserve(n);
+      for (std::uint32_t i = 0; i < n; ++i) {
+        pool_.emplace_back([this] { PoolLoop(); });
+      }
+    }
   }
+  pool_cv_.notify_one();
 }
 
-void Client::AsyncWorkerLoop() {
+void Client::PoolLoop() {
   for (;;) {
-    std::shared_ptr<Operation::State> op;
+    std::function<void()> task;
     {
-      std::unique_lock<std::mutex> lock(async_mu_);
-      async_cv_.wait(lock,
-                     [&] { return async_stopping_ || !async_queue_.empty(); });
+      std::unique_lock<std::mutex> lock(pool_mu_);
+      pool_cv_.wait(lock,
+                    [&] { return pool_stopping_ || !pool_queue_.empty(); });
       // Stopping drains: submitted operations reference caller buffers,
       // so ~Client completes them rather than abandoning them.
-      if (async_queue_.empty()) return;
-      op = std::move(async_queue_.front());
-      async_queue_.pop_front();
+      if (pool_queue_.empty()) return;
+      task = std::move(pool_queue_.front());
+      pool_queue_.pop_front();
     }
-    {
-      std::lock_guard<std::mutex> lock(op->mu);
-      if (op->phase == Operation::State::Phase::kCanceled) continue;
-      op->phase = Operation::State::Phase::kRunning;
-    }
-    Status result =
-        op->is_write
-            ? DoWriteList(op->file, op->mem_regions, op->in, op->file_regions)
-            : DoReadList(op->file, op->mem_regions, op->out, op->file_regions);
-    if (op->is_write) MergeHighWater(op->fd, op->file.high_water);
-    {
-      std::lock_guard<std::mutex> lock(op->mu);
-      op->phase = Operation::State::Phase::kDone;
-      op->result = std::move(result);
-    }
-    op->cv.notify_all();
+    task();
   }
 }
 
-Client::Operation Client::SubmitAsync(bool is_write, Fd fd,
-                                      std::span<const Extent> mem_regions,
-                                      std::span<std::byte> out,
-                                      std::span<const std::byte> in,
-                                      std::span<const Extent> file_regions) {
+Client::Operation Client::SubmitAsync(Fd fd, const ListCall& call) {
   auto state = std::make_shared<Operation::State>();
-  state->is_write = is_write;
   state->fd = fd;
-  state->mem_regions.assign(mem_regions.begin(), mem_regions.end());
-  state->file_regions.assign(file_regions.begin(), file_regions.end());
-  state->out = out;
-  state->in = in;
+  state->mem_regions.assign(call.mem_regions.begin(), call.mem_regions.end());
+  state->file_regions.assign(call.file_regions.begin(),
+                             call.file_regions.end());
+  state->call = call;
+  state->call.mem_regions = state->mem_regions;
+  state->call.file_regions = state->file_regions;
   auto snapshot = SnapshotFd(fd);
   if (!snapshot.ok()) {
     // Submission errors resolve the handle immediately; Wait() reports
@@ -1167,12 +1054,20 @@ Client::Operation Client::SubmitAsync(bool is_write, Fd fd,
     return Operation(std::move(state));
   }
   state->file = std::move(*snapshot);
-  EnsureAsyncWorkers();
-  {
-    std::lock_guard<std::mutex> lock(async_mu_);
-    async_queue_.push_back(state);
-  }
-  async_cv_.notify_one();
+  Post([this, state] {
+    {
+      std::lock_guard<std::mutex> lock(state->mu);
+      if (state->phase == Operation::State::Phase::kCanceled) return;
+      state->phase = Operation::State::Phase::kRunning;
+    }
+    Status result = RunList(state->fd, state->file, state->call);
+    {
+      std::lock_guard<std::mutex> lock(state->mu);
+      state->phase = Operation::State::Phase::kDone;
+      state->result = std::move(result);
+    }
+    state->cv.notify_all();
+  });
   return Operation(std::move(state));
 }
 
@@ -1180,16 +1075,14 @@ Client::Operation Client::ReadListAsync(Fd fd,
                                         std::span<const Extent> mem_regions,
                                         std::span<std::byte> buffer,
                                         std::span<const Extent> file_regions) {
-  return SubmitAsync(/*is_write=*/false, fd, mem_regions, buffer, {},
-                     file_regions);
+  return SubmitAsync(fd, {false, mem_regions, buffer, {}, file_regions});
 }
 
 Client::Operation Client::WriteListAsync(
     Fd fd, std::span<const Extent> mem_regions,
     std::span<const std::byte> buffer,
     std::span<const Extent> file_regions) {
-  return SubmitAsync(/*is_write=*/true, fd, mem_regions, {}, buffer,
-                     file_regions);
+  return SubmitAsync(fd, {true, mem_regions, {}, buffer, file_regions});
 }
 
 // ---- Observability ----------------------------------------------------------

@@ -18,6 +18,7 @@
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <span>
@@ -70,15 +71,18 @@ class Client {
  public:
   using Fd = int;
 
-  /// Retry discipline for one per-server data exchange. PVFS list /
-  /// multiple / sieving requests are idempotent (regions + payload fully
-  /// describe the effect), so a request whose response was lost can be
-  /// resent safely. Retryable errors are kUnavailable, kDeadlineExceeded,
-  /// kProtocol, kCorruption and kBusy — the admission controller's shed
-  /// signal (see IsRetryable); everything else surfaces immediately.
+  /// Retry discipline for one per-server data exchange: one chunk sent to
+  /// the replica set of one primary (a set of one for an unreplicated
+  /// file). PVFS list / multiple / sieving requests are idempotent
+  /// (regions + payload fully describe the effect), so a request whose
+  /// response was lost can be resent safely. Retryable errors are
+  /// kUnavailable, kDeadlineExceeded, kProtocol, kCorruption and kBusy —
+  /// the admission controller's shed signal (see IsRetryable); everything
+  /// else surfaces immediately.
   struct RetryPolicy {
-    /// Total attempts per exchange; 1 = fail fast (the historical
-    /// behaviour, and the default).
+    /// Total attempts per exchange, where one attempt is one round over
+    /// the replica set; 1 = fail fast (the historical behaviour, and the
+    /// default).
     std::uint32_t max_attempts = 1;
     /// Backoff grows from `initial_backoff` up to the `max_backoff` cap
     /// between attempts: decorrelated jitter by default (next drawn
@@ -94,8 +98,9 @@ class Client {
     std::chrono::microseconds max_backoff{10'000};
     bool jitter = true;
     std::uint64_t jitter_seed = 1;
-    /// Overall wall-clock budget for one exchange (or one replicated op),
-    /// measured from its first attempt: backoff sleeps are clamped to the
+    /// Overall wall-clock budget for one exchange, every replica leg and
+    /// round included, measured from its first attempt: backoff sleeps are
+    /// clamped to the
     /// remaining budget, and once it is spent the op fails with
     /// kDeadlineExceeded carrying the last underlying error instead of
     /// sleeping through attempts the caller can no longer use. 0 (the
@@ -135,12 +140,11 @@ class Client {
   };
 
   /// Per-replica endpoint health policy. A kUnavailable/kDeadlineExceeded
-  /// on a replicated exchange immediately retargets the next replica
-  /// instead of burning the retry budget against a dead endpoint; an
-  /// endpoint that fails `eject_after` consecutive times is skipped
-  /// entirely until `probe_backoff` elapses, after which one op probes it
-  /// (flapping iods thus cost one timeout per probe window, not one per
-  /// op).
+  /// from one replica moves the exchange on to the next replica within the
+  /// same attempt; with more than one replica, an endpoint that fails
+  /// `eject_after` consecutive times is skipped entirely until
+  /// `probe_backoff` elapses, after which one op probes it (flapping iods
+  /// thus cost one timeout per probe window, not one per op).
   struct FailoverPolicy {
     std::uint32_t eject_after = 3;
     std::chrono::microseconds probe_backoff{5'000};
@@ -149,10 +153,10 @@ class Client {
   struct Options {
     std::uint32_t max_list_regions = kMaxListRegions;
     ListChunking chunking = ListChunking::kFileRegions;
-    /// Issue the per-server messages of one request concurrently (one
-    /// thread per involved server), as the real client library's
-    /// socket-per-iod fan-out did. Requires a thread-safe transport (all
-    /// transports in this repository are).
+    /// Issue the per-server messages of one request concurrently, as the
+    /// real client library's socket-per-iod fan-out did: the calling
+    /// thread and the client's pool share the legs. Requires a thread-safe
+    /// transport (all transports in this repository are).
     bool parallel_fanout = false;
     RetryPolicy retry{};
     FailoverPolicy failover{};
@@ -163,9 +167,11 @@ class Client {
     std::uint32_t lock_max_attempts = 200;
     std::chrono::microseconds lock_initial_backoff{50};
     std::chrono::microseconds lock_max_backoff{5000};
-    /// Worker threads executing ReadListAsync/WriteListAsync operations.
-    /// Spawned lazily on the first async submission; a blocking-only
-    /// client never starts them.
+    /// Sizes the client's pool, which runs ReadListAsync/WriteListAsync
+    /// operations and parallel fan-out legs: `async_workers` threads, times
+    /// the transport's iod count with `parallel_fanout` (so every async op
+    /// can reach every iod at once). Started lazily on first use; a
+    /// blocking client without `parallel_fanout` never starts it.
     std::uint32_t async_workers = 2;
 
     // ---- Client caching tier (docs/client-caching.md) -------------------
@@ -202,9 +208,9 @@ class Client {
   Client(Transport* transport, Options options)
       : transport_(transport), options_(options) {}
 
-  /// Drains the async queue: every submitted operation completes (or is
-  /// observed canceled) before the workers exit, because submitted
-  /// operations reference caller buffers.
+  /// Drains the pool: every submitted operation completes (or is observed
+  /// canceled) before the workers exit, because submitted operations
+  /// reference caller buffers.
   ~Client();
 
   Client(const Client&) = delete;
@@ -304,7 +310,7 @@ class Client {
   };
 
   /// Nonblocking ReadList: snapshots the descriptor at submission, queues
-  /// the transfer on the client's async workers (Options::async_workers)
+  /// the blocking call's body on the client's pool (Options::async_workers)
   /// and returns immediately. The caller buffer and extent storage must
   /// outlive Wait(). Concurrent operations on distinct buffers are safe;
   /// ordering between in-flight operations is unspecified.
@@ -376,14 +382,19 @@ class Client {
   /// (no-op if the fd was closed while the operation ran).
   void MergeHighWater(Fd fd, ByteCount high_water);
 
-  /// List-I/O bodies shared by the blocking and async paths; `file` is
-  /// the caller's snapshot.
-  Status DoReadList(OpenFile& file, std::span<const Extent> mem_regions,
-                    std::span<std::byte> buffer,
-                    std::span<const Extent> file_regions);
-  Status DoWriteList(OpenFile& file, std::span<const Extent> mem_regions,
-                     std::span<const std::byte> buffer,
-                     std::span<const Extent> file_regions);
+  /// One list call's arguments; a read fills `out`, a write sends `in`.
+  struct ListCall {
+    bool is_write = false;
+    std::span<const Extent> mem_regions;
+    std::span<std::byte> out;
+    std::span<const std::byte> in;
+    std::span<const Extent> file_regions;
+  };
+
+  /// The list-I/O body the blocking and async calls share: the transfer
+  /// against the descriptor snapshot `file`, then the high-water merge.
+  Status RunList(Fd fd, OpenFile& file, const ListCall& call);
+  Status DoList(OpenFile& file, const ListCall& call);
 
   // ---- Buffer-cache path ------------------------------------------------
   //
@@ -406,13 +417,18 @@ class Client {
   /// no-op with bcache off). Holds cache_mu_.
   Status FlushAndDropClean(OpenFile& file);
 
-  Operation SubmitAsync(bool is_write, Fd fd,
-                        std::span<const Extent> mem_regions,
-                        std::span<std::byte> out,
-                        std::span<const std::byte> in,
-                        std::span<const Extent> file_regions);
-  void EnsureAsyncWorkers();
-  void AsyncWorkerLoop();
+  Operation SubmitAsync(Fd fd, const ListCall& call);
+
+  // ---- Client pool ------------------------------------------------------
+
+  /// Queue `task` on the client pool, starting the pool on first use.
+  void Post(std::function<void()> task);
+  void PoolLoop();
+  /// Run fn(i) for every i < n and return the first (index-order) error.
+  /// Inline by default; with parallel_fanout the caller and pool helpers
+  /// claim legs from a shared counter.
+  template <typename Fn>
+  Status ForEachServer(std::size_t n, const Fn& fn);
 
   /// One sealed round trip: CRC32C-seal the encoded request, call, verify
   /// the response frame's trailer, decode the envelope. A failed response
@@ -440,29 +456,23 @@ class Client {
                                       std::span<const Extent> file_regions)
       const;
 
-  /// One per-server exchange of a chunk: encode, call, decode envelope,
-  /// retrying per Options::retry. Thread-safe (only atomic retry counters
-  /// are touched). With `failover_fast`, a kUnavailable/kDeadlineExceeded
-  /// surfaces immediately — the replicated caller retargets another
-  /// replica instead of retrying a dead endpoint in place; every other
-  /// retryable code still retries here.
-  Result<std::vector<std::byte>> ExchangeWithServer(
-      const OpenFile& file, ServerId relative, const IoRequest& request,
-      bool failover_fast = false) const;
+  /// One per-server exchange of a chunk: `request` (addressed to primary
+  /// `request.server_index`) goes to that primary's replica set, retried
+  /// per Options::retry. A read returns the first replica's answer; a
+  /// write succeeds once every replica acked or failed over and at least
+  /// one acked. Thread-safe (only atomic counters and health_ are
+  /// touched); `request.handle` is rewritten per replica.
+  Result<std::vector<std::byte>> Exchange(const OpenFile& file,
+                                          const Distribution& dist,
+                                          IoRequest& request) const;
 
-  /// Replicated read: try replica ordinals in placement order, skipping
-  /// ejected endpoints, failing over on kUnavailable/kDeadlineExceeded;
-  /// whole-round failures retry with backoff per Options::retry.
-  Result<std::vector<std::byte>> ReadReplicated(const OpenFile& file,
-                                                ServerId primary,
-                                                const IoRequest& request) const;
-
-  /// Replicated write fan-out: one leg per replica ordinal (the payload
-  /// addresses the primary's fragment set on every leg — replicas are
-  /// whole copies under derived handles). Succeeds once any replica acks;
-  /// unacked replicas count as retargets and rely on re-replication.
-  Status WriteReplicated(const OpenFile& file, ServerId primary,
-                         const IoRequest& request) const;
+  /// The retry loop every data-path exchange runs: call `round` until it
+  /// succeeds or fails for good, backing off between attempts under the
+  /// max_attempts cap and the op_deadline budget, and keeping the retry
+  /// counters. `primary` names the exchange in errors and jitter draws.
+  template <typename Round>
+  Status RetryRounds(const OpenFile& file, ServerId primary,
+                     const Round& round) const;
 
   /// Global server id of a file-relative index, per the striping base.
   ServerId GlobalOf(const OpenFile& file, ServerId relative) const {
@@ -483,9 +493,8 @@ class Client {
   /// Bump the per-error-code retry counter for a resend caused by `code`.
   void CountRetryCode(ErrorCode code) const;
 
-  /// The exchange body without the retry loop.
-  Result<std::vector<std::byte>> ExchangeOnce(const OpenFile& file,
-                                              ServerId relative,
+  /// One call of an exchange to iod `global`, without retries.
+  Result<std::vector<std::byte>> ExchangeOnce(ServerId global,
                                               const IoRequest& request) const;
 
   static std::uint64_t NextLockOwner();
@@ -510,12 +519,12 @@ class Client {
   /// Guards stats_ (plain counters mutated by concurrent async workers).
   mutable std::mutex stats_mu_;
   ClientStats stats_;
-  /// Async submission queue + lazily-started worker pool.
-  mutable std::mutex async_mu_;
-  std::condition_variable async_cv_;
-  std::deque<std::shared_ptr<Operation::State>> async_queue_;
-  std::vector<std::thread> async_workers_;
-  bool async_stopping_ = false;
+  /// Client pool: async operations and fan-out legs, one FIFO queue.
+  std::mutex pool_mu_;
+  std::condition_variable pool_cv_;
+  std::deque<std::function<void()>> pool_queue_;
+  std::vector<std::thread> pool_;
+  bool pool_stopping_ = false;
   mutable std::atomic<std::uint64_t> retries_{0};
   mutable std::atomic<std::uint64_t> retry_exhausted_{0};
   mutable std::atomic<std::uint64_t> backoff_us_{0};

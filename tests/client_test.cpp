@@ -509,7 +509,7 @@ struct ContractCell {
 std::string CellName(const ContractCell& c, bool write) {
   return std::string(write ? "write" : "read") +
          " replicas=" + std::to_string(c.replicas) + " error=" +
-         std::to_string(static_cast<int>(c.injected)) +
+         std::string(ErrorCodeName(c.injected)) +
          " max_attempts=" + std::to_string(c.max_attempts) +
          (c.budgeted ? " op_deadline=50ms" : " op_deadline=0");
 }
@@ -531,7 +531,10 @@ constexpr ErrorCode kD = ErrorCode::kDeadlineExceeded;
 
 // A 1,000 B access at offset 0 touches file-relative server 0 only; with
 // two replicas its copy lives on server 1 (striping base 0, pcount 2).
-// Health ejects after eject_after = 3 consecutive failures.
+// One attempt is one round over the replica set: kUnavailable moves on to
+// the next replica, kBusy and kCorruption end the round and retry in
+// place. Health ejects after eject_after = 3 consecutive failures, and
+// only when there is another replica to fail over to.
 const ContractCell kContract[] = {
     // replicas, error, attempts, budget -> code, calls 0/1,
     //   retries (injected, deadline), exhausted, retargets, ejected
@@ -549,16 +552,16 @@ const ContractCell kContract[] = {
     {1, kC, 3, true, kD, 2, 0, 1, 0, 1, 0, 0},
     {2, kU, 1, false, kU, 1, 1, 0, 0, 1, 0, 0},
     {2, kU, 1, true, kU, 1, 1, 0, 0, 1, 0, 0},
-    {2, kU, 3, false, kU, 3, 3, 2, 0, 1, 0, 2},
+    {2, kU, 3, false, kD, 3, 3, 2, 0, 1, 0, 2},
     {2, kU, 3, true, kD, 2, 2, 1, 0, 1, 0, 0},
     {2, kB, 1, false, kB, 1, 0, 0, 0, 1, 0, 0},
     {2, kB, 1, true, kB, 1, 0, 0, 0, 1, 0, 0},
-    {2, kB, 3, false, kD, 9, 9, 12, 2, 7, 0, 2},
-    {2, kB, 3, true, kD, 2, 2, 2, 0, 3, 0, 0},
+    {2, kB, 3, false, kD, 3, 0, 2, 0, 1, 0, 0},
+    {2, kB, 3, true, kD, 2, 0, 1, 0, 1, 0, 0},
     {2, kC, 1, false, kC, 1, 0, 0, 0, 1, 0, 0},
     {2, kC, 1, true, kC, 1, 0, 0, 0, 1, 0, 0},
-    {2, kC, 3, false, kD, 9, 9, 12, 2, 7, 0, 2},
-    {2, kC, 3, true, kD, 2, 2, 2, 0, 3, 0, 0},
+    {2, kC, 3, false, kD, 3, 0, 2, 0, 1, 0, 0},
+    {2, kC, 3, true, kD, 2, 0, 1, 0, 1, 0, 0},
 };
 
 TEST(ClientRetryContract, EveryCellMatchesTheTable) {
@@ -601,6 +604,114 @@ TEST(ClientRetryContract, EveryCellMatchesTheTable) {
       EXPECT_EQ(client.failover_counters().ejected_replicas, cell.ejected);
     }
   }
+}
+
+// op_deadline bounds the whole exchange, every replica leg and round
+// included: with every iod shedding kBusy, a replicated write or read
+// gives up after one budget, not one budget per replica.
+TEST(ClientRetryContract, OpDeadlineBoundsTheWholeReplicatedExchange) {
+  using std::chrono::milliseconds;
+  const milliseconds budget(200);
+  for (std::uint32_t replicas : {2u, 3u}) {
+    for (bool write : {true, false}) {
+      SCOPED_TRACE((write ? "write replicas=" : "read replicas=") +
+                   std::to_string(replicas));
+      InProcCluster cluster(4);
+      ErrorInjectingTransport faulty(cluster.transport.get(),
+                                     ErrorCode::kBusy);
+      Client::Options options;
+      options.retry.max_attempts = 1'000'000;
+      options.retry.initial_backoff = milliseconds(1);
+      options.retry.max_backoff = milliseconds(1);
+      options.retry.op_deadline = budget;
+      Client client(&faulty, options);
+      auto fd = client.Create("f", Striping{0, 3, 16384},
+                              ReplicationConfig{replicas});
+      ASSERT_TRUE(fd.ok());
+      ByteBuffer data(1000);
+      const auto start = std::chrono::steady_clock::now();
+      const Status status = write ? client.Write(*fd, 0, data)
+                                  : client.Read(*fd, 0, data);
+      const auto elapsed = std::chrono::steady_clock::now() - start;
+      EXPECT_EQ(status.code(), ErrorCode::kDeadlineExceeded);
+      EXPECT_NE(status.message().find("op_deadline"), std::string::npos)
+          << status.ToString();
+      EXPECT_GE(elapsed, budget);
+      EXPECT_LT(elapsed, budget * 3 / 2);
+      EXPECT_EQ(client.retry_counters().exhausted, 1u);
+    }
+  }
+}
+
+// Retry errors name the daemon that failed by its global id: with a
+// striping base of 5, file-relative server 0 is iod 5.
+TEST(ClientRetryContract, RetryErrorsNameTheGlobalIod) {
+  using std::chrono::milliseconds;
+  for (bool budgeted : {false, true}) {
+    SCOPED_TRACE(budgeted ? "op_deadline" : "attempt cap");
+    InProcCluster cluster(8);
+    ErrorInjectingTransport faulty(cluster.transport.get(),
+                                   ErrorCode::kUnavailable);
+    Client::Options options;
+    options.retry.max_attempts = 3;
+    options.retry.jitter = false;
+    const milliseconds pause = budgeted ? milliseconds(20) : milliseconds(1);
+    options.retry.initial_backoff = pause;
+    options.retry.max_backoff = pause;
+    if (budgeted) options.retry.op_deadline = pause;
+    Client client(&faulty, options);
+    auto fd = client.Create("f", Striping{5, 2, 16384});
+    ASSERT_TRUE(fd.ok());
+    ByteBuffer data(1000);
+    const Status status = client.Write(*fd, 0, data);
+    EXPECT_EQ(status.code(), ErrorCode::kDeadlineExceeded);
+    const std::string expected = budgeted
+                                     ? "exchange with server 5: op_deadline"
+                                     : "exchange with server 5 failed 3";
+    EXPECT_NE(status.message().find(expected), std::string::npos)
+        << status.ToString();
+    EXPECT_EQ(faulty.calls()[5], budgeted ? 2u : 3u);
+  }
+}
+
+// ---- Client pool -----------------------------------------------------------
+
+// Async ops and parallel fan-out legs share one client pool. Every async
+// op here fans out to 4 iods and more ops are queued than the pool has
+// threads, so the helpers an op posts sit behind other ops: the op must
+// finish by claiming its own legs rather than wait on helpers nobody runs.
+TEST(ClientPool, AsyncFanOutOnASharedPoolFinishes) {
+  InProcCluster cluster(4);
+  Client::Options options;
+  options.async_workers = 1;
+  options.parallel_fanout = true;
+  Client client(cluster.transport.get(), options);
+  auto fd = client.Create("f", Striping{0, 4, 4096});
+  ASSERT_TRUE(fd.ok());
+
+  constexpr std::uint32_t kOps = 12;
+  constexpr ByteCount kOpBytes = 4 * 4096;  // one stripe unit on every iod
+  std::vector<ByteBuffer> golden(kOps);
+  std::vector<ExtentList> mems(kOps, ExtentList{{0, kOpBytes}});
+  std::vector<ExtentList> files(kOps);
+  std::vector<Client::Operation> ops(kOps);
+  for (std::uint32_t op = 0; op < kOps; ++op) {
+    golden[op] = ByteBuffer(kOpBytes);
+    FillPattern(golden[op], 40 + op, 0);
+    files[op] = {Extent{op * kOpBytes, kOpBytes}};
+    ops[op] = client.WriteListAsync(*fd, mems[op], golden[op], files[op]);
+  }
+  for (Client::Operation& op : ops) EXPECT_TRUE(op.Wait().ok());
+
+  std::vector<ByteBuffer> back(kOps, ByteBuffer(kOpBytes));
+  for (std::uint32_t op = 0; op < kOps; ++op) {
+    ops[op] = client.ReadListAsync(*fd, mems[op], back[op], files[op]);
+  }
+  for (std::uint32_t op = 0; op < kOps; ++op) {
+    EXPECT_TRUE(ops[op].Wait().ok()) << "read op " << op;
+    EXPECT_EQ(back[op], golden[op]) << "read op " << op;
+  }
+  EXPECT_EQ(client.stats().messages, 2 * kOps * 4);
 }
 
 }  // namespace
