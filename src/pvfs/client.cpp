@@ -451,15 +451,6 @@ Status Client::ValidateListArgs(std::span<const Extent> mem_regions,
   return Status::Ok();
 }
 
-Result<std::vector<std::byte>> Client::ExchangeOnce(
-    ServerId global, const IoRequest& request) const {
-  PVFS_ASSIGN_OR_RETURN(
-      DecodedResponse resp,
-      SealedCall(Endpoint::Iod(global), request.Encode()));
-  if (!resp.status.ok()) return resp.status;
-  return std::move(resp.body);
-}
-
 std::chrono::microseconds Client::NextBackoff(
     std::chrono::microseconds prev, std::chrono::microseconds initial,
     std::chrono::microseconds cap, std::uint32_t site, std::uint64_t stream,
@@ -542,9 +533,10 @@ Status Client::RetryRounds(const OpenFile& file, ServerId primary,
     // once in retry_exhausted, whatever the replica count.
     const auto give_up = [&](const std::string& why) {
       ++retry_exhausted_;
-      return DeadlineExceeded("exchange with server " +
-                              std::to_string(GlobalOf(file, primary)) + why +
-                              " attempts; last error: " + status.ToString());
+      return DeadlineExceeded(
+          "exchange with server " + std::to_string(GlobalOf(file, primary)) +
+          why + std::to_string(attempt) + " attempts; last error: " +
+          status.ToString());
     };
     if (policy.max_attempts <= 1) {
       // Fail-fast still exhausts its (single-attempt) budget, but the
@@ -553,7 +545,7 @@ Status Client::RetryRounds(const OpenFile& file, ServerId primary,
       return status;
     }
     if (attempt >= policy.max_attempts) {
-      return give_up(" failed " + std::to_string(attempt));
+      return give_up(" failed ");
     }
     std::chrono::microseconds sleep = backoff;
     if (budgeted) {
@@ -561,7 +553,7 @@ Status Client::RetryRounds(const OpenFile& file, ServerId primary,
           std::chrono::duration_cast<std::chrono::microseconds>(
               deadline - std::chrono::steady_clock::now());
       if (remaining <= std::chrono::microseconds::zero()) {
-        return give_up(": op_deadline spent after " + std::to_string(attempt));
+        return give_up(": op_deadline spent after ");
       }
       // Clamp the final sleep to the remaining budget so the loop wakes
       // with time for exactly one more attempt instead of oversleeping
@@ -613,19 +605,18 @@ Result<std::vector<std::byte>> Client::Exchange(const OpenFile& file,
         // server_index, not its own id) under a derived handle, giving
         // each copy the primary's exact local layout.
         request.handle = ReplicaHandle(handle, k);
-        auto reply = ExchangeOnce(global, request);
-        if (!reply.ok()) {
-          if (!IsFailoverEligible(reply.status().code())) {
-            return reply.status();
-          }
+        auto reply = SealedCall(Endpoint::Iod(global), request.Encode());
+        const Status leg = reply.ok() ? reply->status : reply.status();
+        if (!leg.ok()) {
+          if (!IsFailoverEligible(leg.code())) return leg;
           if (can_fail_over) RecordReplicaFailure(global);
-          last = reply.status();
+          last = leg;
           continue;
         }
         if (can_fail_over) RecordReplicaSuccess(global);
         if (!is_write) {
           if (k > 0) ++retargets_;  // served degraded, off the primary
-          body = std::move(*reply);
+          body = std::move(reply->body);
           return Status::Ok();
         }
         acked[k] = true;
@@ -665,7 +656,7 @@ Status Client::ForEachServer(std::size_t n, const Fn& fn) {
     };
     auto batch = std::make_shared<Batch>();
     const auto run_legs = [batch, n, &fn, &results] {
-      for (std::size_t i; (i = batch->next.fetch_add(1)) < n;) {
+      for (std::size_t i = batch->next++; i < n; i = batch->next++) {
         results[i] = fn(i);
         std::lock_guard<std::mutex> lock(batch->mu);
         if (++batch->done == n) batch->cv.notify_all();

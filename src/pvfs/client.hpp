@@ -100,9 +100,8 @@ class Client {
     std::uint64_t jitter_seed = 1;
     /// Overall wall-clock budget for one exchange, every replica leg and
     /// round included, measured from its first attempt: backoff sleeps are
-    /// clamped to the
-    /// remaining budget, and once it is spent the op fails with
-    /// kDeadlineExceeded carrying the last underlying error instead of
+    /// clamped to the remaining budget, and once it is spent the op fails
+    /// with kDeadlineExceeded carrying the last underlying error instead of
     /// sleeping through attempts the caller can no longer use. 0 (the
     /// default) disables the budget, preserving the attempt-cap-only
     /// behaviour.
@@ -493,10 +492,6 @@ class Client {
   /// Bump the per-error-code retry counter for a resend caused by `code`.
   void CountRetryCode(ErrorCode code) const;
 
-  /// One call of an exchange to iod `global`, without retries.
-  Result<std::vector<std::byte>> ExchangeOnce(ServerId global,
-                                              const IoRequest& request) const;
-
   static std::uint64_t NextLockOwner();
 
   /// Next backoff after sleeping `prev`: decorrelated jitter (uniform in
@@ -519,12 +514,6 @@ class Client {
   /// Guards stats_ (plain counters mutated by concurrent async workers).
   mutable std::mutex stats_mu_;
   ClientStats stats_;
-  /// Client pool: async operations and fan-out legs, one FIFO queue.
-  std::mutex pool_mu_;
-  std::condition_variable pool_cv_;
-  std::deque<std::function<void()>> pool_queue_;
-  std::vector<std::thread> pool_;
-  bool pool_stopping_ = false;
   mutable std::atomic<std::uint64_t> retries_{0};
   mutable std::atomic<std::uint64_t> retry_exhausted_{0};
   mutable std::atomic<std::uint64_t> backoff_us_{0};
@@ -557,6 +546,14 @@ class Client {
   mutable cache::AttributeCache acache_{options_.acache};
   mutable cache::BufferCache bcache_{options_.bcache};
   std::uint64_t lock_owner_ = NextLockOwner();
+
+  /// Client pool: async operations and fan-out legs, one FIFO queue.
+  /// Declared last: its threads use every member above.
+  std::mutex pool_mu_;
+  std::condition_variable pool_cv_;
+  std::deque<std::function<void()>> pool_queue_;
+  bool pool_stopping_ = false;
+  std::vector<std::thread> pool_;
 };
 
 /// Split a file region list into consecutive chunks of at most
