@@ -583,13 +583,16 @@ Result<std::vector<std::byte>> Client::Exchange(const OpenFile& file,
   std::vector<bool> acked(replicas);
   std::uint32_t acks = 0;
   std::vector<std::byte> body;
-  // One attempt is one round over the replica set in placement order. A
-  // kUnavailable/kDeadlineExceeded moves on to the next replica; any other
-  // error ends the round, so a retryable one (kBusy, kCorruption, ...) is
-  // retried in place on the next attempt. A read stops at the first
-  // answer; a write sends every replica that has not acked yet.
+  // One attempt is one round over the replica set in placement order. Any
+  // retryable error moves on to the next replica; only an unreachable one
+  // (kUnavailable/kDeadlineExceeded) counts against its health, since a
+  // replica that sheds (kBusy) or holds a damaged chunk (kCorruption) is
+  // alive. A read stops at the first answer. A write sends every replica
+  // that has not acked yet; it acks degraded once the others are
+  // unreachable, and resends a shedding replica next round.
   Status status = RetryRounds(file, primary, [&]() -> Status {
     Status last = Unavailable("no replica reachable");
+    bool shed = false;  // a live replica still owes this write an ack
     // Pass 0 honours ejections; pass 1 runs only if every candidate was
     // benched, so a fully-ejected replica set still gets probed instead of
     // sleeping the round away.
@@ -608,8 +611,12 @@ Result<std::vector<std::byte>> Client::Exchange(const OpenFile& file,
         auto reply = SealedCall(Endpoint::Iod(global), request.Encode());
         const Status leg = reply.ok() ? reply->status : reply.status();
         if (!leg.ok()) {
-          if (!IsFailoverEligible(leg.code())) return leg;
-          if (can_fail_over) RecordReplicaFailure(global);
+          if (!IsRetryable(leg.code())) return leg;
+          if (!IsFailoverEligible(leg.code())) {
+            shed = true;
+          } else if (can_fail_over) {
+            RecordReplicaFailure(global);
+          }
           last = leg;
           continue;
         }
@@ -623,13 +630,18 @@ Result<std::vector<std::byte>> Client::Exchange(const OpenFile& file,
         ++acks;
       }
     }
-    if (acks == 0) return last;
+    if (acks == 0 || shed) return last;
     // Degraded ack: the write succeeds; every copy it proceeded without is
     // a retarget, restored later by re-replication (docs/replication.md).
     retargets_ += replicas - acks;
     return Status::Ok();
   });
-  if (!status.ok()) return status;
+  if (!status.ok()) {
+    if (acks == 0 || !IsRetryable(status.code())) return status;
+    // Out of attempts with a replica still shedding: the acked copies
+    // carry the write, degraded, as when the rest are unreachable.
+    retargets_ += replicas - acks;
+  }
   return body;
 }
 
@@ -797,45 +809,63 @@ Result<ExtentList> Client::ChunkableRegions(
   return out;
 }
 
-Status Client::RunList(Fd fd, OpenFile& file, const ListCall& call) {
-  const Status status = DoList(file, call);
-  // Merge the high-water mark even on a partial failure: completed chunks
-  // extended the file.
-  if (call.is_write) MergeHighWater(fd, file.high_water);
-  return status;
-}
-
-Status Client::DoList(OpenFile& file, const ListCall& call) {
-  PVFS_RETURN_IF_ERROR(ValidateListArgs(
-      call.mem_regions, call.is_write ? call.in.size() : call.out.size(),
-      call.file_regions));
+Status Client::DoReadList(OpenFile& file, std::span<const Extent> mem_regions,
+                          std::span<std::byte> buffer,
+                          std::span<const Extent> file_regions) {
+  PVFS_RETURN_IF_ERROR(
+      ValidateListArgs(mem_regions, buffer.size(), file_regions));
   {
     std::lock_guard<std::mutex> lock(stats_mu_);
     ++stats_.operations;
   }
   if (options_.bcache.enabled) {
-    return call.is_write ? CachedWriteList(file, call.mem_regions, call.in,
-                                           call.file_regions)
-                         : CachedReadList(file, call.mem_regions, call.out,
-                                          call.file_regions);
+    return CachedReadList(file, mem_regions, buffer, file_regions);
   }
 
   PVFS_ASSIGN_OR_RETURN(ExtentList chunkable,
-                        ChunkableRegions(call.mem_regions, call.file_regions));
-  StreamCursor cursor(call.mem_regions);
+                        ChunkableRegions(mem_regions, file_regions));
+  StreamCursor cursor(mem_regions);
   std::vector<std::byte> stream;
   for (const ExtentList& chunk : ChunkRegions(chunkable,
                                               options_.max_list_regions)) {
     stream.resize(TotalBytes(chunk));
-    if (call.is_write) {
-      cursor.Gather(call.in, stream);
-      PVFS_RETURN_IF_ERROR(WriteChunk(file, chunk, stream));
-    } else {
-      PVFS_RETURN_IF_ERROR(ReadChunk(file, chunk, stream));
-      cursor.Scatter(stream, call.out);
-    }
+    PVFS_RETURN_IF_ERROR(ReadChunk(file, chunk, stream));
+    cursor.Scatter(stream, buffer);
   }
   return Status::Ok();
+}
+
+Status Client::DoWriteList(Fd fd, OpenFile& file,
+                           std::span<const Extent> mem_regions,
+                           std::span<const std::byte> buffer,
+                           std::span<const Extent> file_regions) {
+  PVFS_RETURN_IF_ERROR(
+      ValidateListArgs(mem_regions, buffer.size(), file_regions));
+  {
+    std::lock_guard<std::mutex> lock(stats_mu_);
+    ++stats_.operations;
+  }
+  const auto write = [&]() -> Status {
+    if (options_.bcache.enabled) {
+      return CachedWriteList(file, mem_regions, buffer, file_regions);
+    }
+    PVFS_ASSIGN_OR_RETURN(ExtentList chunkable,
+                          ChunkableRegions(mem_regions, file_regions));
+    StreamCursor cursor(mem_regions);
+    std::vector<std::byte> stream;
+    for (const ExtentList& chunk : ChunkRegions(chunkable,
+                                                options_.max_list_regions)) {
+      stream.resize(TotalBytes(chunk));
+      cursor.Gather(buffer, stream);
+      PVFS_RETURN_IF_ERROR(WriteChunk(file, chunk, stream));
+    }
+    return Status::Ok();
+  };
+  const Status status = write();
+  // Merge the high-water mark even on a partial failure: completed chunks
+  // extended the file.
+  MergeHighWater(fd, file.high_water);
+  return status;
 }
 
 // ---- Buffer-cache path ------------------------------------------------------
@@ -909,14 +939,14 @@ Status Client::ReadList(Fd fd, std::span<const Extent> mem_regions,
                         std::span<std::byte> buffer,
                         std::span<const Extent> file_regions) {
   PVFS_ASSIGN_OR_RETURN(OpenFile file, SnapshotFd(fd));
-  return RunList(fd, file, {false, mem_regions, buffer, {}, file_regions});
+  return DoReadList(file, mem_regions, buffer, file_regions);
 }
 
 Status Client::WriteList(Fd fd, std::span<const Extent> mem_regions,
                          std::span<const std::byte> buffer,
                          std::span<const Extent> file_regions) {
   PVFS_ASSIGN_OR_RETURN(OpenFile file, SnapshotFd(fd));
-  return RunList(fd, file, {true, mem_regions, {}, buffer, file_regions});
+  return DoWriteList(fd, file, mem_regions, buffer, file_regions);
 }
 
 Status Client::Read(Fd fd, FileOffset offset, std::span<std::byte> out) {
@@ -946,13 +976,14 @@ struct Client::Operation::State {
   Status result = Status::Ok();
 
   // The deferred call, captured at submission. Extent lists are copied
-  // (cheap, bounded) and `call` points at the copies; data buffers stay
-  // caller-owned per the API contract.
+  // (cheap, bounded); data buffers stay caller-owned per the API contract.
+  bool is_write = false;
   Fd fd = -1;
   OpenFile file;  // descriptor snapshot taken at submit time
   std::vector<Extent> mem_regions;
   std::vector<Extent> file_regions;
-  ListCall call;
+  std::span<std::byte> out;       // read destination
+  std::span<const std::byte> in;  // write source
 };
 
 bool Client::Operation::Test() const {
@@ -1027,15 +1058,18 @@ void Client::PoolLoop() {
   }
 }
 
-Client::Operation Client::SubmitAsync(Fd fd, const ListCall& call) {
+Client::Operation Client::SubmitAsync(bool is_write, Fd fd,
+                                      std::span<const Extent> mem_regions,
+                                      std::span<std::byte> out,
+                                      std::span<const std::byte> in,
+                                      std::span<const Extent> file_regions) {
   auto state = std::make_shared<Operation::State>();
+  state->is_write = is_write;
   state->fd = fd;
-  state->mem_regions.assign(call.mem_regions.begin(), call.mem_regions.end());
-  state->file_regions.assign(call.file_regions.begin(),
-                             call.file_regions.end());
-  state->call = call;
-  state->call.mem_regions = state->mem_regions;
-  state->call.file_regions = state->file_regions;
+  state->mem_regions.assign(mem_regions.begin(), mem_regions.end());
+  state->file_regions.assign(file_regions.begin(), file_regions.end());
+  state->out = out;
+  state->in = in;
   auto snapshot = SnapshotFd(fd);
   if (!snapshot.ok()) {
     // Submission errors resolve the handle immediately; Wait() reports
@@ -1051,7 +1085,12 @@ Client::Operation Client::SubmitAsync(Fd fd, const ListCall& call) {
       if (state->phase == Operation::State::Phase::kCanceled) return;
       state->phase = Operation::State::Phase::kRunning;
     }
-    Status result = RunList(state->fd, state->file, state->call);
+    Status result =
+        state->is_write
+            ? DoWriteList(state->fd, state->file, state->mem_regions,
+                          state->in, state->file_regions)
+            : DoReadList(state->file, state->mem_regions, state->out,
+                         state->file_regions);
     {
       std::lock_guard<std::mutex> lock(state->mu);
       state->phase = Operation::State::Phase::kDone;
@@ -1066,14 +1105,16 @@ Client::Operation Client::ReadListAsync(Fd fd,
                                         std::span<const Extent> mem_regions,
                                         std::span<std::byte> buffer,
                                         std::span<const Extent> file_regions) {
-  return SubmitAsync(fd, {false, mem_regions, buffer, {}, file_regions});
+  return SubmitAsync(/*is_write=*/false, fd, mem_regions, buffer, {},
+                     file_regions);
 }
 
 Client::Operation Client::WriteListAsync(
     Fd fd, std::span<const Extent> mem_regions,
     std::span<const std::byte> buffer,
     std::span<const Extent> file_regions) {
-  return SubmitAsync(fd, {true, mem_regions, {}, buffer, file_regions});
+  return SubmitAsync(/*is_write=*/true, fd, mem_regions, {}, buffer,
+                     file_regions);
 }
 
 // ---- Observability ----------------------------------------------------------

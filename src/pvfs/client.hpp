@@ -138,12 +138,13 @@ class Client {
     std::uint64_t ejected_replicas = 0;
   };
 
-  /// Per-replica endpoint health policy. A kUnavailable/kDeadlineExceeded
-  /// from one replica moves the exchange on to the next replica within the
-  /// same attempt; with more than one replica, an endpoint that fails
-  /// `eject_after` consecutive times is skipped entirely until
-  /// `probe_backoff` elapses, after which one op probes it (flapping iods
-  /// thus cost one timeout per probe window, not one per op).
+  /// Per-replica endpoint health policy. Any retryable error from one
+  /// replica moves the exchange on to the next replica within the same
+  /// attempt; with more than one replica, an endpoint that is unreachable
+  /// (kUnavailable/kDeadlineExceeded) `eject_after` consecutive times is
+  /// skipped entirely until `probe_backoff` elapses, after which one op
+  /// probes it (flapping iods thus cost one timeout per probe window, not
+  /// one per op).
   struct FailoverPolicy {
     std::uint32_t eject_after = 3;
     std::chrono::microseconds probe_backoff{5'000};
@@ -381,19 +382,16 @@ class Client {
   /// (no-op if the fd was closed while the operation ran).
   void MergeHighWater(Fd fd, ByteCount high_water);
 
-  /// One list call's arguments; a read fills `out`, a write sends `in`.
-  struct ListCall {
-    bool is_write = false;
-    std::span<const Extent> mem_regions;
-    std::span<std::byte> out;
-    std::span<const std::byte> in;
-    std::span<const Extent> file_regions;
-  };
-
-  /// The list-I/O body the blocking and async calls share: the transfer
-  /// against the descriptor snapshot `file`, then the high-water merge.
-  Status RunList(Fd fd, OpenFile& file, const ListCall& call);
-  Status DoList(OpenFile& file, const ListCall& call);
+  /// The list-I/O bodies the blocking and async calls share, run against
+  /// the descriptor snapshot `file`. A write then merges the snapshot's
+  /// high-water mark back into `fd`, also after a partial failure.
+  Status DoReadList(OpenFile& file, std::span<const Extent> mem_regions,
+                    std::span<std::byte> buffer,
+                    std::span<const Extent> file_regions);
+  Status DoWriteList(Fd fd, OpenFile& file,
+                     std::span<const Extent> mem_regions,
+                     std::span<const std::byte> buffer,
+                     std::span<const Extent> file_regions);
 
   // ---- Buffer-cache path ------------------------------------------------
   //
@@ -416,7 +414,11 @@ class Client {
   /// no-op with bcache off). Holds cache_mu_.
   Status FlushAndDropClean(OpenFile& file);
 
-  Operation SubmitAsync(Fd fd, const ListCall& call);
+  Operation SubmitAsync(bool is_write, Fd fd,
+                        std::span<const Extent> mem_regions,
+                        std::span<std::byte> out,
+                        std::span<const std::byte> in,
+                        std::span<const Extent> file_regions);
 
   // ---- Client pool ------------------------------------------------------
 
@@ -458,8 +460,8 @@ class Client {
   /// One per-server exchange of a chunk: `request` (addressed to primary
   /// `request.server_index`) goes to that primary's replica set, retried
   /// per Options::retry. A read returns the first replica's answer; a
-  /// write succeeds once every replica acked or failed over and at least
-  /// one acked. Thread-safe (only atomic counters and health_ are
+  /// write succeeds once at least one replica acked and every other one
+  /// acked, is unreachable, or is still shedding when attempts run out. Thread-safe (only atomic counters and health_ are
   /// touched); `request.handle` is rewritten per replica.
   Result<std::vector<std::byte>> Exchange(const OpenFile& file,
                                           const Distribution& dist,

@@ -4,6 +4,7 @@
 
 #include <chrono>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -451,15 +452,18 @@ TEST(Client, SegmentChunkingEqualsNativeForContiguousMemory) {
 // counters. Replication 1 and 2 share the table, so the one-replica set
 // is checked against exactly the contract the replicated path keeps.
 
-/// Answers every iod call with one injected error and counts the calls
-/// each iod received; manager calls pass through. kUnavailable arrives as
-/// a transport failure (connection refused); kBusy and kCorruption arrive
+/// Answers every iod call (or only the calls to iod `only`) with one
+/// injected error and counts the calls each iod received; manager calls
+/// and calls to other iods pass through. kUnavailable arrives as a
+/// transport failure (connection refused); kBusy and kCorruption arrive
 /// inside a sealed response envelope, as an admission shed or a daemon's
-/// rejection of a damaged request frame would.
+/// refusal to serve a chunk it cannot repair would.
 class ErrorInjectingTransport final : public Transport {
  public:
-  ErrorInjectingTransport(Transport* inner, ErrorCode code)
-      : inner_(inner), code_(code), calls_(inner->server_count()) {}
+  ErrorInjectingTransport(Transport* inner, ErrorCode code,
+                          std::optional<ServerId> only = std::nullopt)
+      : inner_(inner), code_(code), only_(only),
+        calls_(inner->server_count()) {}
 
   Result<std::vector<std::byte>> Call(
       const Endpoint& dest, std::span<const std::byte> request) override {
@@ -468,6 +472,7 @@ class ErrorInjectingTransport final : public Transport {
       std::lock_guard lock(mutex_);
       ++calls_[dest.server];
     }
+    if (only_ && dest.server != *only_) return inner_->Call(dest, request);
     const Status injected(code_, "injected");
     if (code_ == ErrorCode::kUnavailable) return injected;
     return SealFrame(EncodeResponse(injected, {}));
@@ -485,6 +490,7 @@ class ErrorInjectingTransport final : public Transport {
  private:
   Transport* inner_;
   ErrorCode code_;
+  std::optional<ServerId> only_;
   std::mutex mutex_;
   std::vector<std::uint32_t> calls_;
 };
@@ -531,10 +537,11 @@ constexpr ErrorCode kD = ErrorCode::kDeadlineExceeded;
 
 // A 1,000 B access at offset 0 touches file-relative server 0 only; with
 // two replicas its copy lives on server 1 (striping base 0, pcount 2).
-// One attempt is one round over the replica set: kUnavailable moves on to
-// the next replica, kBusy and kCorruption end the round and retry in
-// place. Health ejects after eject_after = 3 consecutive failures, and
-// only when there is another replica to fail over to.
+// One attempt is one round over the replica set: every injected error
+// moves on to the next replica, and a round no replica answered is
+// retried. Health counts only kUnavailable (an unreachable iod) and ejects
+// after eject_after = 3 consecutive failures, and only when there is
+// another replica to fail over to.
 const ContractCell kContract[] = {
     // replicas, error, attempts, budget -> code, calls 0/1,
     //   retries (injected, deadline), exhausted, retargets, ejected
@@ -554,14 +561,14 @@ const ContractCell kContract[] = {
     {2, kU, 1, true, kU, 1, 1, 0, 0, 1, 0, 0},
     {2, kU, 3, false, kD, 3, 3, 2, 0, 1, 0, 2},
     {2, kU, 3, true, kD, 2, 2, 1, 0, 1, 0, 0},
-    {2, kB, 1, false, kB, 1, 0, 0, 0, 1, 0, 0},
-    {2, kB, 1, true, kB, 1, 0, 0, 0, 1, 0, 0},
-    {2, kB, 3, false, kD, 3, 0, 2, 0, 1, 0, 0},
-    {2, kB, 3, true, kD, 2, 0, 1, 0, 1, 0, 0},
-    {2, kC, 1, false, kC, 1, 0, 0, 0, 1, 0, 0},
-    {2, kC, 1, true, kC, 1, 0, 0, 0, 1, 0, 0},
-    {2, kC, 3, false, kD, 3, 0, 2, 0, 1, 0, 0},
-    {2, kC, 3, true, kD, 2, 0, 1, 0, 1, 0, 0},
+    {2, kB, 1, false, kB, 1, 1, 0, 0, 1, 0, 0},
+    {2, kB, 1, true, kB, 1, 1, 0, 0, 1, 0, 0},
+    {2, kB, 3, false, kD, 3, 3, 2, 0, 1, 0, 0},
+    {2, kB, 3, true, kD, 2, 2, 1, 0, 1, 0, 0},
+    {2, kC, 1, false, kC, 1, 1, 0, 0, 1, 0, 0},
+    {2, kC, 1, true, kC, 1, 1, 0, 0, 1, 0, 0},
+    {2, kC, 3, false, kD, 3, 3, 2, 0, 1, 0, 0},
+    {2, kC, 3, true, kD, 2, 2, 1, 0, 1, 0, 0},
 };
 
 TEST(ClientRetryContract, EveryCellMatchesTheTable) {
@@ -603,6 +610,41 @@ TEST(ClientRetryContract, EveryCellMatchesTheTable) {
       EXPECT_EQ(client.failover_counters().retargets, cell.retargets);
       EXPECT_EQ(client.failover_counters().ejected_replicas, cell.ejected);
     }
+  }
+}
+
+// A live primary that sheds (kBusy) or holds a chunk it cannot repair
+// (kCorruption) must not hide a healthy replica: the write acks on replica
+// 1, degraded once its attempts on the primary run out, and the read is
+// served by replica 1 with the bytes written.
+TEST(ClientRetryContract, HealthyReplicaServesPastAFailingPrimary) {
+  using std::chrono::milliseconds;
+  for (ErrorCode code : {kB, kC}) {
+    SCOPED_TRACE(std::string(ErrorCodeName(code)));
+    InProcCluster cluster(4);
+    ErrorInjectingTransport faulty(cluster.transport.get(), code,
+                                   /*only=*/0);
+    Client::Options options;
+    options.retry.max_attempts = 3;
+    options.retry.jitter = false;
+    options.retry.initial_backoff = milliseconds(1);
+    options.retry.max_backoff = milliseconds(1);
+    Client client(&faulty, options);
+    auto fd = client.Create("f", Striping{0, 2, 16384}, ReplicationConfig{2});
+    ASSERT_TRUE(fd.ok()) << fd.status().ToString();
+
+    ByteBuffer data(1000);
+    FillPattern(data, 7, 0);
+    const Status wrote = client.Write(*fd, 0, data);
+    ASSERT_TRUE(wrote.ok()) << wrote.ToString();
+    ByteBuffer back(1000);
+    const Status read = client.Read(*fd, 0, back);
+    ASSERT_TRUE(read.ok()) << read.ToString();
+    EXPECT_EQ(back, data);
+    EXPECT_EQ(faulty.calls()[1], 2u);  // one write leg, one read leg
+    // One write copy proceeded without, one read served off the primary.
+    EXPECT_EQ(client.failover_counters().retargets, 2u);
+    EXPECT_EQ(client.failover_counters().ejected_replicas, 0u);
   }
 }
 
