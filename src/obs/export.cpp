@@ -18,6 +18,14 @@ void MirrorCounter(Registry& reg, std::string_view name, const Labels& base,
 
 }  // namespace
 
+JsonValue StatsBody(const Registry& reg) {
+  JsonValue out = JsonValue::Object();
+  out.Set("schema", JsonValue(kStatsSchema));
+  const JsonValue snapshot = reg.Snapshot();
+  for (const auto& [key, value] : snapshot.members()) out.Set(key, value);
+  return out;
+}
+
 void ExportFaultCounters(Registry& reg, const sim::FaultCounters& faults,
                          const Labels& base) {
   MirrorCounter(reg, "fault.frames_dropped", base, faults.frames_dropped);

@@ -1,9 +1,10 @@
-// Adapters migrating the repo's pre-existing counter structs onto the
-// metrics registry and into JSON: sim::FaultCounters, sim::Accumulator,
-// sim::Histogram. Component-owned counters (ClientStats, retry counters,
-// IoDaemon::Stats, Manager::Stats) export themselves via their classes'
-// ExportMetrics/StatsJson methods; SimRunResult exports through
-// bench::BenchJson (bench/bench_util.hpp), which builds on these.
+// The export path from counters to JSON. Live components (Client,
+// IoDaemon, Manager) each fill a registry through their one
+// ExportMetrics method; StatsBody turns that registry into the body every
+// live stats reader sees (kStats, `pvfs_cli stats`, `pvfsd` stats). The
+// simulator side maps sim::FaultCounters, sim::Accumulator and
+// sim::Histogram onto a registry and into JSON for bench::BenchJson
+// (bench/bench_util.hpp).
 #pragma once
 
 #include <string_view>
@@ -13,6 +14,13 @@
 #include "sim/stats.hpp"
 
 namespace pvfs::obs {
+
+/// Schema tag of the live stats body.
+inline constexpr std::string_view kStatsSchema = "pvfs-stats-v2";
+
+/// {"schema":"pvfs-stats-v2","counters":[...],"gauges":[...],
+///  "histograms":[...]}: `reg`'s snapshot under the schema key.
+JsonValue StatsBody(const Registry& reg);
 
 /// Mirror every fault counter into `reg` as counters named
 /// "fault.<field>" with the given base labels.

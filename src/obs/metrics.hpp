@@ -2,10 +2,9 @@
 // label sets ({method=list, op=read, server=3}, ...), snapshottable as
 // JSON. The unified home for the per-layer attribution the paper's
 // evaluation is built on — request counts x per-request overhead vs
-// bytes x bandwidth — replacing the ad-hoc counter structs that used to
-// be scattered across sim::FaultCounters, Client retry atomics, iod
-// stats and SimRunResult (adapters in obs/export.hpp map those onto a
-// registry).
+// bytes x bandwidth. Components keep their counters in their own structs
+// and copy them in on ExportMetrics, so a registry name is each counter's
+// one public name (obs/export.hpp).
 //
 // Concurrency: instrument handles returned by a Registry are stable for
 // the registry's lifetime; Counter/Gauge updates are lock-free atomics,
@@ -45,8 +44,9 @@ class Counter {
   std::uint64_t value() const {
     return value_.load(std::memory_order_relaxed);
   }
-  /// Counters are monotonic; Set exists for mirroring an externally
-  /// accumulated total (the migration adapters in obs/export.hpp).
+  /// Counters are monotonic; Set copies in a total that a component
+  /// keeps in its own counter storage, when its ExportMetrics fills a
+  /// registry (and for the sim-side adapters in obs/export.hpp).
   void Set(std::uint64_t v) { value_.store(v, std::memory_order_relaxed); }
 
  private:

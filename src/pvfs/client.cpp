@@ -92,20 +92,17 @@ Result<DecodedResponse> Client::SealedCall(
       transport_->Call(dest, SealFrame(std::move(request))));
   auto payload = OpenFrame(raw);
   if (!payload.ok()) {
-    ++corruptions_;
+    ++counters_.corruptions;
     return payload.status();
   }
   PVFS_ASSIGN_OR_RETURN(DecodedResponse resp, DecodeResponse(*payload));
-  if (resp.status.code() == ErrorCode::kCorruption) ++corruptions_;
-  if (resp.status.code() == ErrorCode::kBusy) ++busy_rejections_;
+  if (resp.status.code() == ErrorCode::kCorruption) ++counters_.corruptions;
+  if (resp.status.code() == ErrorCode::kBusy) ++counters_.busy_rejections;
   return resp;
 }
 
 Result<Metadata> Client::CallManagerMeta(std::vector<std::byte> request) {
-  {
-    std::lock_guard<std::mutex> lock(stats_mu_);
-    ++stats_.manager_messages;
-  }
+  ++counters_.manager_messages;
   PVFS_ASSIGN_OR_RETURN(
       DecodedResponse resp,
       SealedCall(Endpoint::ManagerNode(), std::move(request)));
@@ -116,10 +113,7 @@ Result<Metadata> Client::CallManagerMeta(std::vector<std::byte> request) {
 }
 
 Status Client::CallManagerVoid(std::vector<std::byte> request) {
-  {
-    std::lock_guard<std::mutex> lock(stats_mu_);
-    ++stats_.manager_messages;
-  }
+  ++counters_.manager_messages;
   auto resp = SealedCall(Endpoint::ManagerNode(), std::move(request));
   if (!resp.ok()) return resp.status();
   return resp->status;
@@ -250,10 +244,7 @@ Status Client::Remove(const std::string& name) {
     for (std::uint32_t s = 0; s < meta->striping.pcount; ++s) {
       ServerId server = (meta->striping.base + s) %
                         transport_->server_count();
-      {
-        std::lock_guard<std::mutex> lock(stats_mu_);
-        ++stats_.messages;
-      }
+      ++counters_.messages;
       auto resp = SealedCall(Endpoint::Iod(server), encoded);
       Status leg = resp.ok() ? resp->status : resp.status();
       if (!leg.ok() && leg.code() != ErrorCode::kNotFound) {
@@ -283,10 +274,7 @@ Status Client::Remove(const std::string& name) {
 }
 
 Result<std::vector<std::string>> Client::ListFiles(const std::string& prefix) {
-  {
-    std::lock_guard<std::mutex> lock(stats_mu_);
-    ++stats_.manager_messages;
-  }
+  ++counters_.manager_messages;
   PVFS_ASSIGN_OR_RETURN(
       DecodedResponse resp,
       SealedCall(Endpoint::ManagerNode(), ListNamesRequest{prefix}.Encode()));
@@ -325,7 +313,7 @@ Status Client::LockRange(Fd fd, Extent range, bool exclusive) {
                               std::to_string(attempt) + " attempts");
     }
     std::this_thread::sleep_for(backoff);
-    backoff_us_ += static_cast<std::uint64_t>(backoff.count());
+    counters_.backoff_us += static_cast<std::uint64_t>(backoff.count());
     backoff = NextBackoff(backoff, options_.lock_initial_backoff,
                           options_.lock_max_backoff,
                           fault::kSiteLockBackoff, lock_owner_, attempt);
@@ -472,11 +460,11 @@ std::chrono::microseconds Client::NextBackoff(
 
 void Client::CountRetryCode(ErrorCode code) const {
   switch (code) {
-    case ErrorCode::kUnavailable: ++retries_unavailable_; break;
-    case ErrorCode::kBusy: ++retries_busy_; break;
-    case ErrorCode::kCorruption: ++retries_corruption_; break;
-    case ErrorCode::kDeadlineExceeded: ++retries_deadline_; break;
-    case ErrorCode::kProtocol: ++retries_protocol_; break;
+    case ErrorCode::kUnavailable: ++counters_.retries_unavailable; break;
+    case ErrorCode::kBusy: ++counters_.retries_busy; break;
+    case ErrorCode::kCorruption: ++counters_.retries_corruption; break;
+    case ErrorCode::kDeadlineExceeded: ++counters_.retries_deadline; break;
+    case ErrorCode::kProtocol: ++counters_.retries_protocol; break;
     default: break;
   }
 }
@@ -507,7 +495,7 @@ void Client::RecordReplicaFailure(ServerId global) const {
     h.ejected = true;
     h.probe_at =
         std::chrono::steady_clock::now() + options_.failover.probe_backoff;
-    ++ejected_replicas_;
+    ++counters_.ejected_replicas;
   }
 }
 
@@ -532,7 +520,7 @@ Status Client::RetryRounds(const OpenFile& file, ServerId primary,
     // Every way out below ran out of attempts or time: the exchange counts
     // once in retry_exhausted, whatever the replica count.
     const auto give_up = [&](const std::string& why) {
-      ++retry_exhausted_;
+      ++counters_.retry_exhausted;
       return DeadlineExceeded(
           "exchange with server " + std::to_string(GlobalOf(file, primary)) +
           why + std::to_string(attempt) + " attempts; last error: " +
@@ -541,7 +529,7 @@ Status Client::RetryRounds(const OpenFile& file, ServerId primary,
     if (policy.max_attempts <= 1) {
       // Fail-fast still exhausts its (single-attempt) budget, but the
       // original error surfaces unchanged.
-      ++retry_exhausted_;
+      ++counters_.retry_exhausted;
       return status;
     }
     if (attempt >= policy.max_attempts) {
@@ -560,10 +548,10 @@ Status Client::RetryRounds(const OpenFile& file, ServerId primary,
       // past the deadline.
       sleep = std::min(sleep, remaining);
     }
-    ++retries_;
+    ++counters_.retries;
     CountRetryCode(status.code());
     std::this_thread::sleep_for(sleep);
-    backoff_us_ += static_cast<std::uint64_t>(sleep.count());
+    counters_.backoff_us += static_cast<std::uint64_t>(sleep.count());
     backoff = NextBackoff(backoff, policy.initial_backoff, policy.max_backoff,
                           fault::kSiteRetryBackoff, stream, attempt + 1);
   }
@@ -622,7 +610,7 @@ Result<std::vector<std::byte>> Client::Exchange(const OpenFile& file,
         }
         if (can_fail_over) RecordReplicaSuccess(global);
         if (!is_write) {
-          if (k > 0) ++retargets_;  // served degraded, off the primary
+          if (k > 0) ++counters_.retargets;  // served degraded, off primary
           body = std::move(reply->body);
           return Status::Ok();
         }
@@ -633,14 +621,14 @@ Result<std::vector<std::byte>> Client::Exchange(const OpenFile& file,
     if (acks == 0 || shed) return last;
     // Degraded ack: the write succeeds; every copy it proceeded without is
     // a retarget, restored later by re-replication (docs/replication.md).
-    retargets_ += replicas - acks;
+    counters_.retargets += replicas - acks;
     return Status::Ok();
   });
   if (!status.ok()) {
     if (acks == 0 || !IsRetryable(status.code())) return status;
     // Out of attempts with a replica still shedding: the acked copies
     // carry the write, degraded, as when the rest are unreachable.
-    retargets_ += replicas - acks;
+    counters_.retargets += replicas - acks;
   }
   return body;
 }
@@ -687,10 +675,7 @@ Status Client::ForEachServer(std::size_t n, const Fn& fn) {
 
 Status Client::WriteChunk(OpenFile& file, std::span<const Extent> chunk,
                           std::span<const std::byte> stream) {
-  {
-    std::lock_guard<std::mutex> lock(stats_mu_);
-    ++stats_.fs_requests;
-  }
+  ++counters_.fs_requests;
   Distribution dist(file.meta.layout());
   const std::uint32_t replicas = dist.EffectiveReplicas();
   std::vector<Fragment> frags = dist.Fragments(chunk);
@@ -713,11 +698,8 @@ Status Client::WriteChunk(OpenFile& file, std::span<const Extent> chunk,
   std::sort(payloads.begin(), payloads.end(),
             [](const auto& a, const auto& b) { return a.first < b.first; });
 
-  {
-    std::lock_guard<std::mutex> lock(stats_mu_);
-    stats_.messages += payloads.size() * replicas;
-    stats_.regions_sent += payloads.size() * replicas * chunk.size();
-  }
+  counters_.messages += payloads.size() * replicas;
+  counters_.regions_sent += payloads.size() * replicas * chunk.size();
   PVFS_RETURN_IF_ERROR(ForEachServer(payloads.size(), [&](size_t i) -> Status {
     IoRequest req;
     req.handle = file.meta.handle;
@@ -729,10 +711,7 @@ Status Client::WriteChunk(OpenFile& file, std::span<const Extent> chunk,
     req.payload = std::move(payloads[i].second);
     return Exchange(file, dist, req).status();
   }));
-  {
-    std::lock_guard<std::mutex> lock(stats_mu_);
-    stats_.bytes_written += stream.size();
-  }
+  counters_.bytes_written += stream.size();
   for (const Extent& e : chunk) {
     file.high_water = std::max<ByteCount>(file.high_water, e.end());
   }
@@ -744,12 +723,9 @@ Status Client::ReadChunk(OpenFile& file, std::span<const Extent> chunk,
   Distribution dist(file.meta.layout());
   std::vector<ServerId> involved = dist.InvolvedServers(chunk);
 
-  {
-    std::lock_guard<std::mutex> lock(stats_mu_);
-    ++stats_.fs_requests;
-    stats_.messages += involved.size();
-    stats_.regions_sent += involved.size() * chunk.size();
-  }
+  ++counters_.fs_requests;
+  counters_.messages += involved.size();
+  counters_.regions_sent += involved.size() * chunk.size();
   std::vector<IoResponse> collected(involved.size());
   PVFS_RETURN_IF_ERROR(ForEachServer(involved.size(), [&](size_t i) -> Status {
     IoRequest req;
@@ -783,10 +759,7 @@ Status Client::ReadChunk(OpenFile& file, std::span<const Extent> chunk,
                 f.length);
     cur += f.length;
   }
-  {
-    std::lock_guard<std::mutex> lock(stats_mu_);
-    stats_.bytes_read += stream.size();
-  }
+  counters_.bytes_read += stream.size();
   return Status::Ok();
 }
 
@@ -814,10 +787,7 @@ Status Client::DoReadList(OpenFile& file, std::span<const Extent> mem_regions,
                           std::span<const Extent> file_regions) {
   PVFS_RETURN_IF_ERROR(
       ValidateListArgs(mem_regions, buffer.size(), file_regions));
-  {
-    std::lock_guard<std::mutex> lock(stats_mu_);
-    ++stats_.operations;
-  }
+  ++counters_.operations;
   if (options_.bcache.enabled) {
     return CachedReadList(file, mem_regions, buffer, file_regions);
   }
@@ -841,10 +811,7 @@ Status Client::DoWriteList(Fd fd, OpenFile& file,
                            std::span<const Extent> file_regions) {
   PVFS_RETURN_IF_ERROR(
       ValidateListArgs(mem_regions, buffer.size(), file_regions));
-  {
-    std::lock_guard<std::mutex> lock(stats_mu_);
-    ++stats_.operations;
-  }
+  ++counters_.operations;
   const auto write = [&]() -> Status {
     if (options_.bcache.enabled) {
       return CachedWriteList(file, mem_regions, buffer, file_regions);
@@ -1120,126 +1087,58 @@ Client::Operation Client::WriteListAsync(
 // ---- Observability ----------------------------------------------------------
 
 void Client::ExportMetrics(obs::Registry& reg, const obs::Labels& base) const {
-  const ClientStats snapshot = stats();
-  reg.Counter("client.operations", base).Set(snapshot.operations);
-  reg.Counter("client.fs_requests", base).Set(snapshot.fs_requests);
-  reg.Counter("client.messages", base).Set(snapshot.messages);
-  reg.Counter("client.regions_sent", base).Set(snapshot.regions_sent);
-  reg.Counter("client.bytes_read", base).Set(snapshot.bytes_read);
-  reg.Counter("client.bytes_written", base).Set(snapshot.bytes_written);
-  reg.Counter("client.manager_messages", base).Set(snapshot.manager_messages);
-  const RetryCounters retry = retry_counters();
-  reg.Counter("client.retries", base).Set(retry.retries);
-  reg.Counter("client.retry_exhausted", base).Set(retry.exhausted);
-  reg.Counter("client.backoff_us", base).Set(retry.backoff_us);
-  reg.Counter("client.corruptions", base).Set(retry.corruptions);
-  reg.Counter("client.busy_rejections", base).Set(retry.busy_rejections);
-  // client.retries split by triggering error code, so failover vs.
-  // backpressure vs. integrity retries are distinguishable in BENCH JSON.
-  const auto coded = [&](const char* code) {
-    obs::Labels labels = base;
-    labels.push_back({"code", code});
-    return labels;
+  // Every counter is labelled `base` plus, where the name splits by error
+  // code or cache tier, one more label: retries by triggering code keep
+  // failover, backpressure and integrity retries apart; acache (metadata)
+  // and bcache (data pages) keep their hit rates apart.
+  const auto counter = [&](std::string_view name, std::uint64_t value,
+                           obs::Labels labels = {}) {
+    labels.insert(labels.end(), base.begin(), base.end());
+    reg.Counter(name, std::move(labels)).Set(value);
   };
-  reg.Counter("client.retries", coded("unavailable"))
-      .Set(retry.retries_unavailable);
-  reg.Counter("client.retries", coded("busy")).Set(retry.retries_busy);
-  reg.Counter("client.retries", coded("corruption"))
-      .Set(retry.retries_corruption);
-  reg.Counter("client.retries", coded("deadline_exceeded"))
-      .Set(retry.retries_deadline);
-  reg.Counter("client.retries", coded("protocol"))
-      .Set(retry.retries_protocol);
-  const FailoverCounters failover = failover_counters();
-  reg.Counter("client.failover.retargets", base).Set(failover.retargets);
-  reg.Counter("client.failover.ejected_replicas", base)
-      .Set(failover.ejected_replicas);
-  // Cache tiers, split by a "tier" label so acache (metadata) and bcache
-  // (data pages) hit rates stay separable in BENCH JSON.
+  counter("client.operations", counters_.operations);
+  counter("client.fs_requests", counters_.fs_requests);
+  counter("client.messages", counters_.messages);
+  counter("client.regions_sent", counters_.regions_sent);
+  counter("client.bytes_read", counters_.bytes_read);
+  counter("client.bytes_written", counters_.bytes_written);
+  counter("client.manager_messages", counters_.manager_messages);
+  counter("client.retries", counters_.retries);
+  counter("client.retry_exhausted", counters_.retry_exhausted);
+  counter("client.backoff_us", counters_.backoff_us);
+  counter("client.corruptions", counters_.corruptions);
+  counter("client.busy_rejections", counters_.busy_rejections);
+  const auto code = [](const char* c) { return obs::Labels{{"code", c}}; };
+  counter("client.retries", counters_.retries_unavailable,
+          code("unavailable"));
+  counter("client.retries", counters_.retries_busy, code("busy"));
+  counter("client.retries", counters_.retries_corruption, code("corruption"));
+  counter("client.retries", counters_.retries_deadline,
+          code("deadline_exceeded"));
+  counter("client.retries", counters_.retries_protocol, code("protocol"));
+  counter("client.failover.retargets", counters_.retargets);
+  counter("client.failover.ejected_replicas", counters_.ejected_replicas);
   const CacheCounters cache = cache_counters();
-  const auto tier = [&](const char* name) {
-    obs::Labels labels = base;
-    labels.push_back({"tier", name});
-    return labels;
-  };
-  reg.Counter("client.cache.hits", tier("acache")).Set(cache.acache.hits);
-  reg.Counter("client.cache.misses", tier("acache")).Set(cache.acache.misses);
-  reg.Counter("client.cache.evictions", tier("acache"))
-      .Set(cache.acache.evictions);
-  reg.Counter("client.cache.revalidations", tier("acache"))
-      .Set(cache.acache.revalidations);
-  reg.Counter("client.cache.hits", tier("bcache")).Set(cache.bcache.hits);
-  reg.Counter("client.cache.misses", tier("bcache")).Set(cache.bcache.misses);
-  reg.Counter("client.cache.evictions", tier("bcache"))
-      .Set(cache.bcache.evictions);
-  reg.Counter("client.cache.writeback_bytes", tier("bcache"))
-      .Set(cache.bcache.writeback_bytes);
-  reg.Counter("client.cache.readahead_hits", tier("bcache"))
-      .Set(cache.bcache.readahead_hits);
-  reg.Counter("client.cache.prefetched_pages", tier("bcache"))
-      .Set(cache.bcache.prefetched_pages);
-}
-
-obs::JsonValue Client::StatsJson() const {
-  const ClientStats snapshot = stats();
-  obs::JsonValue out = obs::JsonValue::Object();
-  out.Set("operations", obs::JsonValue(snapshot.operations));
-  out.Set("fs_requests", obs::JsonValue(snapshot.fs_requests));
-  out.Set("messages", obs::JsonValue(snapshot.messages));
-  out.Set("regions_sent", obs::JsonValue(snapshot.regions_sent));
-  out.Set("bytes_read", obs::JsonValue(snapshot.bytes_read));
-  out.Set("bytes_written", obs::JsonValue(snapshot.bytes_written));
-  out.Set("manager_messages", obs::JsonValue(snapshot.manager_messages));
-  const RetryCounters retry = retry_counters();
-  out.Set("retries", obs::JsonValue(retry.retries));
-  out.Set("retry_exhausted", obs::JsonValue(retry.exhausted));
-  out.Set("backoff_us", obs::JsonValue(retry.backoff_us));
-  out.Set("corruptions", obs::JsonValue(retry.corruptions));
-  out.Set("busy_rejections", obs::JsonValue(retry.busy_rejections));
-  obs::JsonValue by_code = obs::JsonValue::Object();
-  by_code.Set("unavailable", obs::JsonValue(retry.retries_unavailable));
-  by_code.Set("busy", obs::JsonValue(retry.retries_busy));
-  by_code.Set("corruption", obs::JsonValue(retry.retries_corruption));
-  by_code.Set("deadline_exceeded", obs::JsonValue(retry.retries_deadline));
-  by_code.Set("protocol", obs::JsonValue(retry.retries_protocol));
-  out.Set("retries_by_code", std::move(by_code));
-  const FailoverCounters failover = failover_counters();
-  out.Set("failover_retargets", obs::JsonValue(failover.retargets));
-  out.Set("failover_ejected_replicas",
-          obs::JsonValue(failover.ejected_replicas));
-  const CacheCounters cache = cache_counters();
-  obs::JsonValue acache = obs::JsonValue::Object();
-  acache.Set("hits", obs::JsonValue(cache.acache.hits));
-  acache.Set("misses", obs::JsonValue(cache.acache.misses));
-  acache.Set("evictions", obs::JsonValue(cache.acache.evictions));
-  acache.Set("revalidations", obs::JsonValue(cache.acache.revalidations));
-  obs::JsonValue bcache = obs::JsonValue::Object();
-  bcache.Set("hits", obs::JsonValue(cache.bcache.hits));
-  bcache.Set("misses", obs::JsonValue(cache.bcache.misses));
-  bcache.Set("evictions", obs::JsonValue(cache.bcache.evictions));
-  bcache.Set("writeback_bytes", obs::JsonValue(cache.bcache.writeback_bytes));
-  bcache.Set("readahead_hits", obs::JsonValue(cache.bcache.readahead_hits));
-  bcache.Set("prefetched_pages",
-             obs::JsonValue(cache.bcache.prefetched_pages));
-  obs::JsonValue cache_json = obs::JsonValue::Object();
-  cache_json.Set("acache", std::move(acache));
-  cache_json.Set("bcache", std::move(bcache));
-  out.Set("cache", std::move(cache_json));
-  return out;
+  const obs::Labels acache{{"tier", "acache"}};
+  const obs::Labels bcache{{"tier", "bcache"}};
+  counter("client.cache.hits", cache.acache.hits, acache);
+  counter("client.cache.misses", cache.acache.misses, acache);
+  counter("client.cache.evictions", cache.acache.evictions, acache);
+  counter("client.cache.revalidations", cache.acache.revalidations, acache);
+  counter("client.cache.hits", cache.bcache.hits, bcache);
+  counter("client.cache.misses", cache.bcache.misses, bcache);
+  counter("client.cache.evictions", cache.bcache.evictions, bcache);
+  counter("client.cache.writeback_bytes", cache.bcache.writeback_bytes, bcache);
+  counter("client.cache.readahead_hits", cache.bcache.readahead_hits, bcache);
+  counter("client.cache.prefetched_pages", cache.bcache.prefetched_pages,
+          bcache);
 }
 
 Result<std::string> Client::FetchServerStats(int server) {
   Endpoint dest = server < 0
                       ? Endpoint::ManagerNode()
                       : Endpoint::Iod(static_cast<ServerId>(server));
-  {
-    std::lock_guard<std::mutex> lock(stats_mu_);
-    if (server < 0) {
-      ++stats_.manager_messages;
-    } else {
-      ++stats_.messages;
-    }
-  }
+  ++(server < 0 ? counters_.manager_messages : counters_.messages);
   PVFS_ASSIGN_OR_RETURN(DecodedResponse resp,
                         SealedCall(dest, StatsRequest{}.Encode()));
   if (!resp.status.ok()) return resp.status;

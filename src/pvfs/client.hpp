@@ -29,7 +29,6 @@
 
 #include "common/extent.hpp"
 #include "common/status.hpp"
-#include "obs/json.hpp"
 #include "obs/metrics.hpp"
 #include "pvfs/cache/acache.hpp"
 #include "pvfs/cache/bcache.hpp"
@@ -41,9 +40,10 @@
 
 namespace pvfs {
 
-/// Counters a client accumulates; the unit "fs request" matches the
-/// paper's accounting (one list-I/O operation of <= 64 regions is one
-/// request, regardless of how many servers it fans out to).
+/// Snapshot of a client's I/O counters (Client::stats()); the unit "fs
+/// request" matches the paper's accounting (one list-I/O operation of
+/// <= 64 regions is one request, regardless of how many servers it fans
+/// out to).
 struct ClientStats {
   std::uint64_t operations = 0;   // API-level read/write calls
   std::uint64_t fs_requests = 0;  // chunked I/O requests (paper's metric)
@@ -326,37 +326,44 @@ class Client {
                            std::span<const Extent> file_regions);
 
   /// Snapshot of the I/O counters (by value: async operations mutate them
-  /// concurrently under an internal mutex).
+  /// concurrently).
   ClientStats stats() const {
-    std::lock_guard<std::mutex> lock(stats_mu_);
-    return stats_;
+    return {counters_.operations, counters_.fs_requests, counters_.messages,
+            counters_.regions_sent, counters_.bytes_read,
+            counters_.bytes_written, counters_.manager_messages};
   }
+  /// Zeroes the I/O counters (stats()); retry and failover counters keep
+  /// counting.
   void ResetStats() {
-    std::lock_guard<std::mutex> lock(stats_mu_);
-    stats_ = {};
+    counters_.operations = 0;
+    counters_.fs_requests = 0;
+    counters_.messages = 0;
+    counters_.regions_sent = 0;
+    counters_.bytes_read = 0;
+    counters_.bytes_written = 0;
+    counters_.manager_messages = 0;
   }
   /// Snapshot of the retry/backoff counters.
   RetryCounters retry_counters() const {
-    return {retries_.load(), retry_exhausted_.load(), backoff_us_.load(),
-            corruptions_.load(), busy_rejections_.load(),
-            retries_unavailable_.load(), retries_busy_.load(),
-            retries_corruption_.load(), retries_deadline_.load(),
-            retries_protocol_.load()};
+    return {counters_.retries, counters_.retry_exhausted,
+            counters_.backoff_us, counters_.corruptions,
+            counters_.busy_rejections, counters_.retries_unavailable,
+            counters_.retries_busy, counters_.retries_corruption,
+            counters_.retries_deadline, counters_.retries_protocol};
   }
   /// Snapshot of the replica failover counters.
   FailoverCounters failover_counters() const {
-    return {retargets_.load(), ejected_replicas_.load()};
+    return {counters_.retargets, counters_.ejected_replicas};
   }
   /// Snapshot of the cache-tier counters (zeros when caching is off).
   CacheCounters cache_counters() const {
     std::lock_guard<std::mutex> lock(cache_mu_);
     return {acache_.counters(), bcache_.counters()};
   }
-  /// Mirror this client's counters (ClientStats + RetryCounters) into a
-  /// metrics registry as "client.*" counters with the given base labels.
+  /// Copy every client counter (I/O, retry, failover, cache tiers) into
+  /// a registry as "client.*" with the given base labels; obs::StatsBody
+  /// of that registry is the client part of `pvfs_cli stats`.
   void ExportMetrics(obs::Registry& reg, const obs::Labels& base = {}) const;
-  /// The same counters as one JSON object.
-  obs::JsonValue StatsJson() const;
 
   /// Fetch the manager's (server < 0) or an iod's stats snapshot as a
   /// JSON text via the kStats protocol message.
@@ -509,25 +516,34 @@ class Client {
   Transport* transport_;
   Options options_;
   /// Guards next_fd_ and open_files_ (async completions merge high-water
-  /// marks concurrently with Open/Close). Never acquired after stats_mu_.
+  /// marks concurrently with Open/Close).
   mutable std::mutex files_mu_;
   Fd next_fd_ = 3;  // leave stdin/stdout/stderr-looking values free
   std::unordered_map<Fd, OpenFile> open_files_;
-  /// Guards stats_ (plain counters mutated by concurrent async workers).
-  mutable std::mutex stats_mu_;
-  ClientStats stats_;
-  mutable std::atomic<std::uint64_t> retries_{0};
-  mutable std::atomic<std::uint64_t> retry_exhausted_{0};
-  mutable std::atomic<std::uint64_t> backoff_us_{0};
-  mutable std::atomic<std::uint64_t> corruptions_{0};
-  mutable std::atomic<std::uint64_t> busy_rejections_{0};
-  mutable std::atomic<std::uint64_t> retries_unavailable_{0};
-  mutable std::atomic<std::uint64_t> retries_busy_{0};
-  mutable std::atomic<std::uint64_t> retries_corruption_{0};
-  mutable std::atomic<std::uint64_t> retries_deadline_{0};
-  mutable std::atomic<std::uint64_t> retries_protocol_{0};
-  mutable std::atomic<std::uint64_t> retargets_{0};
-  mutable std::atomic<std::uint64_t> ejected_replicas_{0};
+  /// Every I/O, retry and failover counter, in one place: atomics, so
+  /// async workers and fan-out legs bump them without a lock.
+  struct Counters {
+    std::atomic<std::uint64_t> operations = 0;
+    std::atomic<std::uint64_t> fs_requests = 0;
+    std::atomic<std::uint64_t> messages = 0;
+    std::atomic<std::uint64_t> regions_sent = 0;
+    std::atomic<std::uint64_t> bytes_read = 0;
+    std::atomic<std::uint64_t> bytes_written = 0;
+    std::atomic<std::uint64_t> manager_messages = 0;
+    std::atomic<std::uint64_t> retries = 0;
+    std::atomic<std::uint64_t> retry_exhausted = 0;
+    std::atomic<std::uint64_t> backoff_us = 0;
+    std::atomic<std::uint64_t> corruptions = 0;
+    std::atomic<std::uint64_t> busy_rejections = 0;
+    std::atomic<std::uint64_t> retries_unavailable = 0;
+    std::atomic<std::uint64_t> retries_busy = 0;
+    std::atomic<std::uint64_t> retries_corruption = 0;
+    std::atomic<std::uint64_t> retries_deadline = 0;
+    std::atomic<std::uint64_t> retries_protocol = 0;
+    std::atomic<std::uint64_t> retargets = 0;
+    std::atomic<std::uint64_t> ejected_replicas = 0;
+  };
+  mutable Counters counters_;
 
   /// Per-endpoint replica health, keyed by global server id and shared by
   /// every replicated file this client touches.
@@ -543,7 +559,7 @@ class Client {
   /// which serializes cached I/O per client — the deliberate trade-off
   /// documented in docs/client-caching.md (concurrent async workers on
   /// uncached clients are unaffected; caching defaults off). Never
-  /// acquired while holding files_mu_ or stats_mu_.
+  /// acquired while holding files_mu_.
   mutable std::mutex cache_mu_;
   mutable cache::AttributeCache acache_{options_.acache};
   mutable cache::BufferCache bcache_{options_.bcache};

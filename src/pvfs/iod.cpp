@@ -5,6 +5,7 @@
 #include <string>
 
 #include "common/request_id.hpp"
+#include "obs/export.hpp"
 #include "obs/span.hpp"
 
 namespace pvfs {
@@ -37,19 +38,12 @@ void IoDaemon::RecoverStore() {
   // Concurrent callers are safe: NeedsRecovery/Recover lock the store,
   // skip intents a live request still owns, and a second Recover after
   // the first finds nothing left to do.
-  if (!store_.NeedsRecovery()) return;
-  LocalStore::RecoveryStats rec = store_.Recover();
-  stats_.journal_replays += rec.replayed;
-  stats_.journal_rollbacks += rec.rolled_back;
+  if (store_.NeedsRecovery()) store_.Recover();
 }
 
 LocalStore::ScrubStats IoDaemon::Scrub() {
   RecoverStore();  // never scrub across pending intents
-  LocalStore::ScrubStats scrub = store_.Scrub();
-  stats_.scrub_chunks_scanned += scrub.chunks_scanned;
-  stats_.scrub_corruptions += scrub.corrupt_chunks;
-  stats_.scrub_repairs += scrub.repaired_chunks;
-  return scrub;
+  return store_.Scrub();
 }
 
 void IoDaemon::CountFlow(const FlowStats& flow) {
@@ -269,7 +263,9 @@ std::vector<std::byte> IoDaemon::HandleMessage(
       return EncodeResponse(Status::Ok(), {});
     }
     case MsgType::kStats: {
-      StatsResponse resp{StatsJson().Dump()};
+      obs::Registry reg;
+      ExportMetrics(reg);
+      StatsResponse resp{obs::StatsBody(reg).Dump()};
       return EncodeResponse(Status::Ok(), resp.Encode());
     }
     default:
@@ -292,66 +288,35 @@ std::vector<std::byte> IoDaemon::HandleSealedMessage(
   return SealFrame(HandleMessage(opened->payload));
 }
 
-obs::JsonValue IoDaemon::StatsJson() const {
-  obs::JsonValue out = obs::JsonValue::Object();
-  out.Set("role", obs::JsonValue("iod"));
-  out.Set("server", obs::JsonValue(static_cast<std::uint64_t>(id_)));
-  out.Set("requests", obs::JsonValue(stats_.requests.load()));
-  out.Set("regions", obs::JsonValue(stats_.regions.load()));
-  out.Set("local_accesses", obs::JsonValue(stats_.local_accesses.load()));
-  out.Set("store_ops", obs::JsonValue(stats_.store_ops.load()));
-  out.Set("bytes_read", obs::JsonValue(stats_.bytes_read.load()));
-  out.Set("bytes_written", obs::JsonValue(stats_.bytes_written.load()));
-  out.Set("injected_errors", obs::JsonValue(stats_.injected_errors.load()));
-  out.Set("corruptions_detected",
-          obs::JsonValue(stats_.corruptions_detected.load()));
-  out.Set("journal_replays", obs::JsonValue(stats_.journal_replays.load()));
-  out.Set("journal_rollbacks", obs::JsonValue(stats_.journal_rollbacks.load()));
-  out.Set("torn_writes", obs::JsonValue(stats_.torn_writes.load()));
-  out.Set("scrub_chunks_scanned",
-          obs::JsonValue(stats_.scrub_chunks_scanned.load()));
-  out.Set("scrub_corruptions", obs::JsonValue(stats_.scrub_corruptions.load()));
-  out.Set("scrub_repairs", obs::JsonValue(stats_.scrub_repairs.load()));
-  out.Set("repair_chunks_scanned",
-          obs::JsonValue(stats_.repair_chunks_scanned.load()));
-  out.Set("repair_chunks_copied",
-          obs::JsonValue(stats_.repair_chunks_copied.load()));
-  out.Set("flow_segments", obs::JsonValue(stats_.store_ops.load()));
-  out.Set("flow_inflight_peak",
-          obs::JsonValue(stats_.flow_inflight_peak.load()));
-  out.Set("flow_stall_us", obs::JsonValue(stats_.flow_stall_us.load()));
-  return out;
-}
-
 void IoDaemon::ExportMetrics(obs::Registry& reg,
                              const obs::Labels& base) const {
   obs::Labels labels = base;
   labels.push_back({"server", std::to_string(id_)});
-  reg.Counter("iod.requests", labels).Set(stats_.requests.load());
-  reg.Counter("iod.regions", labels).Set(stats_.regions.load());
-  reg.Counter("iod.local_accesses", labels).Set(stats_.local_accesses.load());
-  reg.Counter("iod.store_ops", labels).Set(stats_.store_ops.load());
-  reg.Counter("iod.bytes_read", labels).Set(stats_.bytes_read.load());
-  reg.Counter("iod.bytes_written", labels).Set(stats_.bytes_written.load());
-  reg.Counter("iod.injected_errors", labels).Set(stats_.injected_errors.load());
-  reg.Counter("iod.corruptions_detected", labels)
-      .Set(stats_.corruptions_detected.load());
-  reg.Counter("iod.journal_replays", labels).Set(stats_.journal_replays.load());
-  reg.Counter("iod.journal_rollbacks", labels)
-      .Set(stats_.journal_rollbacks.load());
-  reg.Counter("iod.torn_writes", labels).Set(stats_.torn_writes.load());
-  reg.Counter("iod.scrub_chunks_scanned", labels)
-      .Set(stats_.scrub_chunks_scanned.load());
-  reg.Counter("iod.scrub_corruptions", labels)
-      .Set(stats_.scrub_corruptions.load());
-  reg.Counter("iod.scrub_repairs", labels).Set(stats_.scrub_repairs.load());
-  reg.Counter("iod.repair.chunks_scanned", labels)
-      .Set(stats_.repair_chunks_scanned.load());
-  reg.Counter("iod.repair.chunks_copied", labels)
-      .Set(stats_.repair_chunks_copied.load());
-  reg.Gauge("iod.flow.inflight", labels)
+  const auto counter = [&](std::string_view name, std::uint64_t value) {
+    reg.Counter(name, labels).Set(value);
+  };
+  counter("iod.requests", stats_.requests);
+  counter("iod.regions", stats_.regions);
+  counter("iod.local_accesses", stats_.local_accesses);
+  counter("iod.store_ops", stats_.store_ops);
+  counter("iod.bytes_read", stats_.bytes_read);
+  counter("iod.bytes_written", stats_.bytes_written);
+  counter("iod.injected_errors", stats_.injected_errors);
+  counter("iod.corruptions_detected", stats_.corruptions_detected);
+  counter("iod.torn_writes", stats_.torn_writes);
+  counter("iod.repair.chunks_scanned", stats_.repair_chunks_scanned);
+  counter("iod.repair.chunks_copied", stats_.repair_chunks_copied);
+  counter("iod.flow.stall_us", stats_.flow_stall_us);
+  reg.Gauge("iod.flow.inflight_peak", labels)
       .Set(static_cast<std::int64_t>(stats_.flow_inflight_peak.load()));
-  reg.Counter("iod.flow.stall_us", labels).Set(stats_.flow_stall_us.load());
+  const LocalStore::IntegrityCounters integrity = store_.integrity();
+  counter("iod.journal_replays", integrity.journal_replays);
+  counter("iod.journal_rollbacks", integrity.journal_rollbacks);
+  counter("iod.scrub_chunks_scanned", integrity.scrub_chunks_scanned);
+  counter("iod.scrub_corruptions", integrity.scrub_corruptions);
+  counter("iod.scrub_repairs", integrity.scrub_repairs);
+  counter("iod.read_corruptions", integrity.read_corruptions);
+  counter("iod.read_repairs", integrity.read_repairs);
 }
 
 }  // namespace pvfs

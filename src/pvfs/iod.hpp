@@ -24,7 +24,6 @@
 
 #include "common/status.hpp"
 #include "fault/fault.hpp"
-#include "obs/json.hpp"
 #include "obs/metrics.hpp"
 #include "pvfs/config.hpp"
 #include "pvfs/distribution.hpp"
@@ -74,7 +73,7 @@ class IoDaemon {
   void RecoverStore();
 
   /// On-demand integrity scrub of the whole store; results accumulate in
-  /// stats() and the store's integrity counters.
+  /// the store's integrity counters.
   LocalStore::ScrubStats Scrub();
 
   ServerId id() const { return id_; }
@@ -93,6 +92,7 @@ class IoDaemon {
 
   /// All counters are atomics: with a window above 1 the transport runs
   /// Serve calls concurrently. Readers load individual fields as before.
+  /// Journal and scrub counters live in the store (store().integrity()).
   struct Stats {
     std::atomic<std::uint64_t> requests = 0;
     std::atomic<std::uint64_t> regions = 0;  // trailing-data entries received
@@ -102,23 +102,16 @@ class IoDaemon {
     std::atomic<std::uint64_t> bytes_written = 0;
     std::atomic<std::uint64_t> injected_errors = 0;  // failed by injection
     std::atomic<std::uint64_t> corruptions_detected = 0;  // frames + CRCs
-    std::atomic<std::uint64_t> journal_replays = 0;   // redone on recovery
-    std::atomic<std::uint64_t> journal_rollbacks = 0; // torn, discarded
     std::atomic<std::uint64_t> torn_writes = 0;  // injected crashes
-    std::atomic<std::uint64_t> scrub_chunks_scanned = 0;
-    std::atomic<std::uint64_t> scrub_corruptions = 0;
-    std::atomic<std::uint64_t> scrub_repairs = 0;
     std::atomic<std::uint64_t> repair_chunks_scanned = 0;  // manifests served
     std::atomic<std::uint64_t> repair_chunks_copied = 0;   // applies taken
-    // Flow pipeline accounting (segments executed are `store_ops`).
     std::atomic<std::uint64_t> flow_inflight_peak = 0;  // widest window seen
     std::atomic<std::uint64_t> flow_stall_us = 0;       // full-window waits
   };
   const Stats& stats() const { return stats_; }
-  /// The counters as one JSON object (the kStats response body).
-  obs::JsonValue StatsJson() const;
-  /// Mirror the counters into a metrics registry as "iod.*" with a
-  /// server=<id> label appended to `base`.
+  /// Copy every counter, the store's integrity counters included, into a
+  /// registry as "iod.*" with a server=<id> label appended to `base`.
+  /// The kStats response body is this registry (obs::StatsBody).
   void ExportMetrics(obs::Registry& reg, const obs::Labels& base = {}) const;
 
  private:

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "common/request_id.hpp"
+#include "obs/export.hpp"
 #include "obs/span.hpp"
 
 namespace pvfs {
@@ -207,25 +208,15 @@ std::vector<std::byte> Manager::HandleMessage(std::span<const std::byte> raw) {
       return EncodeResponse(Unlock(req->handle, req->range, req->owner), {});
     }
     case MsgType::kStats: {
-      StatsResponse resp{StatsJson().Dump()};
+      obs::Registry reg;
+      ExportMetrics(reg);
+      StatsResponse resp{obs::StatsBody(reg).Dump()};
       return EncodeResponse(Status::Ok(), resp.Encode());
     }
     default:
       return EncodeResponse(
           InvalidArgument("message type not handled by manager"), {});
   }
-}
-
-obs::JsonValue Manager::StatsJson() const {
-  obs::JsonValue out = obs::JsonValue::Object();
-  out.Set("role", obs::JsonValue("manager"));
-  out.Set("requests", obs::JsonValue(stats_.requests));
-  out.Set("creates", obs::JsonValue(stats_.creates));
-  out.Set("lookups", obs::JsonValue(stats_.lookups));
-  out.Set("corruptions_detected",
-          obs::JsonValue(stats_.corruptions_detected));
-  out.Set("files", obs::JsonValue(static_cast<std::uint64_t>(file_count())));
-  return out;
 }
 
 void Manager::ExportMetrics(obs::Registry& reg,

@@ -15,7 +15,6 @@
 #include <vector>
 
 #include "common/status.hpp"
-#include "obs/json.hpp"
 #include "obs/metrics.hpp"
 #include "pvfs/protocol.hpp"
 
@@ -70,9 +69,8 @@ class Manager {
     std::uint64_t corruptions_detected = 0;  // corrupt frames rejected
   };
   const Stats& stats() const { return stats_; }
-  /// The counters as one JSON object (the kStats response body).
-  obs::JsonValue StatsJson() const;
-  /// Mirror the counters into a metrics registry as "manager.*".
+  /// Copy the counters into a registry as "manager.*"; the kStats
+  /// response body is this registry (obs::StatsBody).
   void ExportMetrics(obs::Registry& reg, const obs::Labels& base = {}) const;
 
  private:

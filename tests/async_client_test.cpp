@@ -356,8 +356,8 @@ void ExpectTornWriteReplaysWholeRequest(std::uint32_t window) {
     auto read = iod.Serve(TwoRunRequest(IoOp::kRead));
     ASSERT_TRUE(read.ok());
     EXPECT_EQ(read->payload, after);
-    EXPECT_EQ(iod.stats().journal_replays, 1u);
-    EXPECT_EQ(iod.stats().journal_rollbacks, 0u);
+    EXPECT_EQ(iod.store().integrity().journal_replays, 1u);
+    EXPECT_EQ(iod.store().integrity().journal_rollbacks, 0u);
   }
 }
 
@@ -387,8 +387,8 @@ TEST(FlowAtomicity, TornJournalAppendRollsBackWholeRequest) {
     auto read = iod.Serve(TwoRunRequest(IoOp::kRead));
     ASSERT_TRUE(read.ok());
     EXPECT_EQ(read->payload, before);
-    EXPECT_EQ(iod.stats().journal_replays, 0u);
-    EXPECT_EQ(iod.stats().journal_rollbacks, 1u);
+    EXPECT_EQ(iod.store().integrity().journal_replays, 0u);
+    EXPECT_EQ(iod.store().integrity().journal_rollbacks, 1u);
   }
 }
 
@@ -421,8 +421,8 @@ TEST(IntentOwnership, ConcurrentRecoveryLeavesLiveIntentsAlone) {
     }
   }
   EXPECT_EQ(failures.load(), 0);
-  EXPECT_EQ(iod.stats().journal_replays, 0u);
-  EXPECT_EQ(iod.stats().journal_rollbacks, 0u);
+  EXPECT_EQ(iod.store().integrity().journal_replays, 0u);
+  EXPECT_EQ(iod.store().integrity().journal_rollbacks, 0u);
   EXPECT_FALSE(iod.store().NeedsRecovery());
 }
 

@@ -306,8 +306,8 @@ TEST(IntegrityChaos, TornListWriteReplaysOrRollsBackOnRecovery) {
   }
   std::uint64_t replays = 0, rollbacks = 0, torn = 0;
   for (auto& iod : cluster.iods) {
-    replays += iod->stats().journal_replays;
-    rollbacks += iod->stats().journal_rollbacks;
+    replays += iod->store().integrity().journal_replays;
+    rollbacks += iod->store().integrity().journal_rollbacks;
     torn += iod->stats().torn_writes;
   }
   EXPECT_GT(torn, 0u);
@@ -325,7 +325,8 @@ TEST(IntegrityChaos, TornListWriteReplaysOrRollsBackOnRecovery) {
 // ---- Scrub through the daemon -------------------------------------------
 
 // An on-demand scrub walks every chunk, finds a rotted bit and repairs it
-// from the retained journal history; the results land in iod stats.
+// from the retained journal history; the results land in the store's
+// integrity counters.
 TEST(IntegrityScrub, IodScrubDetectsAndRepairsRottedChunk) {
   testutil::InProcCluster cluster;
   const ByteBuffer golden = GoldenContents();
@@ -349,9 +350,9 @@ TEST(IntegrityScrub, IodScrubDetectsAndRepairsRottedChunk) {
   LocalStore::ScrubStats dirty = victim.Scrub();
   EXPECT_EQ(dirty.corrupt_chunks, 1u);
   EXPECT_EQ(dirty.repaired_chunks, 1u);
-  EXPECT_EQ(victim.stats().scrub_corruptions, 1u);
-  EXPECT_EQ(victim.stats().scrub_repairs, 1u);
-  EXPECT_GT(victim.stats().scrub_chunks_scanned, 0u);
+  EXPECT_EQ(victim.store().integrity().scrub_corruptions, 1u);
+  EXPECT_EQ(victim.store().integrity().scrub_repairs, 1u);
+  EXPECT_GT(victim.store().integrity().scrub_chunks_scanned, 0u);
 
   // The repaired image is the original one.
   ByteBuffer out(kFileBytes);

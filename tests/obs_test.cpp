@@ -6,6 +6,7 @@
 // canonicalization, empty-accumulator JSON).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstdint>
@@ -16,6 +17,7 @@
 #include "common/wire.hpp"
 #include "fault/fault.hpp"
 #include "fault/fault_transport.hpp"
+#include "net/socket_transport.hpp"
 #include "obs/export.hpp"
 #include "obs/json.hpp"
 #include "obs/metrics.hpp"
@@ -309,29 +311,161 @@ TEST(Wire, FrameRoundTripsRequestId) {
 
 // ---- Stats over the wire (kStats) ---------------------------------------
 
-TEST(Stats, FetchServerStatsReturnsParseableJson) {
-  testutil::InProcCluster cluster;
-  Client client = cluster.MakeClient();
+/// The value of counter `name` with exactly the label set `labels` in a
+/// stats body (kStats, obs::StatsBody); a test failure when absent.
+std::uint64_t BodyCounter(const obs::JsonValue& body, std::string_view name,
+                          const obs::Labels& labels = {}) {
+  const obs::JsonValue* rows = body.Find("counters");
+  if (rows == nullptr) {
+    ADD_FAILURE() << "stats body has no counters";
+    return 0;
+  }
+  for (const obs::JsonValue& row : rows->items()) {
+    const obs::JsonValue& got = *row.Find("labels");
+    bool match = row.Find("name")->as_string() == name &&
+                 got.size() == labels.size();
+    for (const obs::Label& label : labels) {
+      const obs::JsonValue* value = got.Find(label.key);
+      match = match && value != nullptr && value->as_string() == label.value;
+    }
+    if (match) return row.Find("value")->as_uint();
+  }
+  ADD_FAILURE() << "stats body has no counter " << name;
+  return 0;
+}
+
+/// Fetch a daemon's kStats body (server < 0: the manager) and check it is
+/// a v2 registry snapshot.
+obs::JsonValue FetchStatsBody(Client& client, int server) {
+  auto text = client.FetchServerStats(server);
+  EXPECT_TRUE(text.ok()) << text.status().ToString();
+  if (!text.ok()) return obs::JsonValue::Object();
+  auto body = obs::JsonValue::Parse(*text);
+  EXPECT_TRUE(body.ok());
+  if (!body.ok()) return obs::JsonValue::Object();
+  const obs::JsonValue* schema = body->Find("schema");
+  EXPECT_TRUE(schema != nullptr && schema->as_string() == obs::kStatsSchema)
+      << *text;
+  return std::move(*body);
+}
+
+/// Write one stripe unit to each of iods 0 and 1 over `transport`, then
+/// check the manager's and iod 1's kStats bodies against their counters.
+void ExpectStatsBodiesAreRegistries(Transport* transport,
+                                    const IoDaemon& iod1) {
+  Client client(transport);
   auto fd = client.Create("f", kStriping);
   ASSERT_TRUE(fd.ok());
-  ByteBuffer data(16384);
+  ByteBuffer data(2 * 16384);
   FillPattern(data, 9, 0);
   ASSERT_TRUE(client.Write(*fd, 0, data).ok());
   ASSERT_TRUE(client.Close(*fd).ok());
 
-  auto mgr = client.FetchServerStats(-1);
-  ASSERT_TRUE(mgr.ok()) << mgr.status().ToString();
-  auto mgr_json = obs::JsonValue::Parse(*mgr);
-  ASSERT_TRUE(mgr_json.ok());
-  EXPECT_EQ(mgr_json->Find("role")->as_string(), "manager");
-  EXPECT_GE(mgr_json->Find("requests")->as_uint(), 2u);  // create+close
+  const obs::JsonValue mgr = FetchStatsBody(client, -1);
+  EXPECT_GE(BodyCounter(mgr, "manager.requests"), 2u);  // create+close
 
-  auto iod = client.FetchServerStats(0);
-  ASSERT_TRUE(iod.ok());
-  auto iod_json = obs::JsonValue::Parse(*iod);
-  ASSERT_TRUE(iod_json.ok());
-  EXPECT_EQ(iod_json->Find("role")->as_string(), "iod");
-  EXPECT_EQ(iod_json->Find("server")->as_uint(), 0u);
+  const obs::JsonValue iod = FetchStatsBody(client, 1);
+  EXPECT_GT(iod1.stats().requests.load(), 0u);
+  EXPECT_EQ(BodyCounter(iod, "iod.requests", {{"server", "1"}}),
+            iod1.stats().requests.load());
+}
+
+TEST(Stats, FetchServerStatsReturnsParseableJson) {
+  {
+    SCOPED_TRACE("in-process transport");
+    testutil::InProcCluster cluster;
+    ExpectStatsBodiesAreRegistries(cluster.transport.get(), *cluster.iods[1]);
+  }
+  {
+    SCOPED_TRACE("TCP transport");
+    auto cluster = net::SocketCluster::Start(8);
+    ASSERT_TRUE(cluster.ok()) << cluster.status().ToString();
+    auto transport = (*cluster)->Connect();
+    ExpectStatsBodiesAreRegistries(transport.get(), (*cluster)->iod(1));
+  }
+}
+
+// An abandoned intent that Stage recovers (because a new intent overlaps
+// it) is a journal replay like any RecoverStore one. The iod's exports
+// read the store's count; the iod used to keep its own copy, fed only by
+// RecoverStore, so its registry and kStats body reported 0.
+TEST(Stats, RecoveryInsideStageReachesIodExports) {
+  testutil::InProcCluster cluster;
+  LocalStore& store = cluster.iods[0]->store();
+  const LocalStore::IntentId first =
+      store.Stage(1, {{0, 400}}, ByteBuffer(400, std::byte{0x11}));
+  store.Apply(first, 0, 200);
+  store.Abandon(first);
+  const LocalStore::IntentId second =
+      store.Stage(1, {{100, 200}}, ByteBuffer(200, std::byte{0x22}));
+  store.Apply(second, 0, 200);
+  store.Commit(second);
+  ASSERT_EQ(store.integrity().journal_replays, 1u);
+
+  obs::Registry reg;
+  cluster.iods[0]->ExportMetrics(reg);
+  EXPECT_EQ(reg.Counter("iod.journal_replays", {{"server", "0"}}).value(), 1u);
+  Client client = cluster.MakeClient();
+  EXPECT_EQ(BodyCounter(FetchStatsBody(client, 0), "iod.journal_replays",
+                        {{"server", "0"}}),
+            1u);
+}
+
+// The client's counters are lock-free atomics: polling stats(),
+// retry_counters() and ExportMetrics while async list writes fan out on
+// the pool must neither race nor lose a count.
+TEST(Stats, CountersReadWhileAsyncOpsRun) {
+  constexpr Striping kFour{0, 4, 1024};
+  constexpr std::uint64_t kOps = 8;
+  constexpr std::uint64_t kRegions = 16;
+  testutil::InProcCluster cluster(4);
+  // kOps disjoint list writes; region r lands on iod r % 4.
+  std::vector<std::vector<Extent>> files(kOps);
+  std::vector<ByteBuffer> data(kOps, ByteBuffer(kRegions * 512));
+  const std::vector<Extent> mem = {Extent{0, kRegions * 512}};
+  for (std::uint64_t op = 0; op < kOps; ++op) {
+    for (std::uint64_t r = 0; r < kRegions; ++r) {
+      files[op].push_back({(op * kRegions + r) * 1024, 512});
+    }
+    FillPattern(data[op], 40 + op, 0);
+  }
+
+  Client::Options options;
+  options.async_workers = 1;
+  options.parallel_fanout = true;
+  Client client(cluster.transport.get(), options);
+  auto fd = client.Create("async", kFour);
+  ASSERT_TRUE(fd.ok());
+  std::vector<Client::Operation> ops;
+  for (std::uint64_t op = 0; op < kOps; ++op) {
+    ops.push_back(client.WriteListAsync(*fd, mem, data[op], files[op]));
+  }
+  obs::Registry reg;
+  bool running = true;
+  while (running) {
+    running = !std::all_of(ops.begin(), ops.end(),
+                           [](const Client::Operation& op) {
+                             return op.Test();
+                           });
+    EXPECT_LE(client.stats().messages, kOps * 4);
+    EXPECT_EQ(client.retry_counters().retries, 0u);
+    client.ExportMetrics(reg);
+  }
+  for (Client::Operation& op : ops) ASSERT_TRUE(op.Wait().ok());
+  ASSERT_TRUE(client.Close(*fd).ok());
+
+  Client serial = cluster.MakeClient();
+  auto sfd = serial.Create("serial", kFour);
+  ASSERT_TRUE(sfd.ok());
+  for (std::uint64_t op = 0; op < kOps; ++op) {
+    ASSERT_TRUE(serial.WriteList(*sfd, mem, data[op], files[op]).ok());
+  }
+  ASSERT_TRUE(serial.Close(*sfd).ok());
+
+  EXPECT_EQ(client.stats().messages, serial.stats().messages);
+  EXPECT_EQ(serial.stats().messages, kOps * 4);
+  client.ExportMetrics(reg);
+  EXPECT_EQ(reg.Counter("client.messages").value(), kOps * 4);
 }
 
 TEST(Stats, ComponentsExportMetricsIntoOneRegistry) {

@@ -18,7 +18,7 @@
 
 #include "common/bytes.hpp"
 #include "net/socket_transport.hpp"
-#include "obs/json.hpp"
+#include "obs/export.hpp"
 #include "pvfs/posixio.hpp"
 
 using namespace pvfs;
@@ -204,7 +204,9 @@ int DoStats(Client& client) {
     iods.Append(iod.ok() ? std::move(*iod) : obs::JsonValue(*stats));
   }
   dump.Set("iods", std::move(iods));
-  dump.Set("client", client.StatsJson());
+  obs::Registry reg;
+  client.ExportMetrics(reg);
+  dump.Set("client", obs::StatsBody(reg));
   std::printf("%s\n", dump.Dump(2).c_str());
   return 0;
 }

@@ -6,13 +6,14 @@
 // With base_port 0 (default) each daemon picks an ephemeral port and the
 // bound ports are printed; otherwise the manager listens on base_port and
 // iod k on base_port + 1 + k. Runs until stdin reaches EOF (Ctrl-D).
-// Typing "stats" on stdin dumps every daemon's counters as JSON.
+// Typing "stats" on stdin dumps every daemon's counters, with the
+// admission and transport instruments, as one registry snapshot (JSON).
 #include <cstdio>
 #include <cstdlib>
 #include <string>
 
 #include "net/socket_transport.hpp"
-#include "obs/json.hpp"
+#include "obs/export.hpp"
 
 using namespace pvfs;
 
@@ -51,14 +52,14 @@ int main(int argc, char** argv) {
       continue;
     }
     if (line == "stats") {
-      obs::JsonValue dump = obs::JsonValue::Object();
-      dump.Set("manager", (*cluster)->manager().StatsJson());
-      obs::JsonValue iod_stats = obs::JsonValue::Array();
+      // The cluster's admission and transport instruments already live in
+      // the global registry; the daemons' counters join them there.
+      obs::Registry& reg = obs::Registry::Global();
+      (*cluster)->manager().ExportMetrics(reg);
       for (std::uint32_t s = 0; s < servers; ++s) {
-        iod_stats.Append((*cluster)->iod(s).StatsJson());
+        (*cluster)->iod(s).ExportMetrics(reg);
       }
-      dump.Set("iods", std::move(iod_stats));
-      std::printf("%s\n", dump.Dump(2).c_str());
+      std::printf("%s\n", obs::StatsBody(reg).Dump(2).c_str());
       std::fflush(stdout);
     }
     line.clear();
