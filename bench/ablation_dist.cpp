@@ -33,7 +33,6 @@
 //   default   flash 16 MiB, tiledviz 3 MiB
 #include <algorithm>
 #include <cstdio>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -41,8 +40,7 @@
 #include "common/bytes.hpp"
 #include "pvfs/client.hpp"
 #include "pvfs/iod.hpp"
-#include "pvfs/manager.hpp"
-#include "pvfs/transport.hpp"
+#include "runtime/threaded_cluster.hpp"
 #include "simcluster/workload_streams.hpp"
 #include "workloads/flash.hpp"
 #include "workloads/tiledviz.hpp"
@@ -55,23 +53,6 @@ namespace {
 constexpr std::uint32_t kServers = 8;
 constexpr ByteCount kStripeSize = 8192;
 constexpr std::uint64_t kFillSeed = 1902;
-
-/// One self-contained in-process deployment per cell, so cells never see
-/// each other's server-side state.
-struct MiniCluster {
-  explicit MiniCluster(std::uint32_t servers) : manager(servers) {
-    std::vector<IoDaemon*> ptrs;
-    iods.reserve(servers);
-    for (ServerId s = 0; s < servers; ++s) {
-      iods.push_back(std::make_unique<IoDaemon>(s, ServerConfig{}));
-      ptrs.push_back(iods.back().get());
-    }
-    transport = std::make_unique<InProcTransport>(&manager, std::move(ptrs));
-  }
-  Manager manager;
-  std::vector<std::unique_ptr<IoDaemon>> iods;
-  std::unique_ptr<InProcTransport> transport;
-};
 
 struct LayoutCell {
   const char* name;
@@ -113,8 +94,10 @@ ByteBuffer PatternPacked(const ExtentList& regions) {
 /// back) under the given layout and returns the measured counters.
 CellResult RunCell(const std::vector<ExtentList>& rank_regions,
                    const DistributionSpec& spec) {
-  MiniCluster cluster(kServers);
-  Client client(cluster.transport.get());
+  // A fresh in-process deployment per cell, so cells never see each
+  // other's server-side state.
+  runtime::ThreadedCluster cluster(kServers);
+  Client client(&cluster.transport());
   CellResult result;
 
   auto fd = client.Create("abl", {Striping{0, kServers, kStripeSize}, spec});
@@ -140,8 +123,8 @@ CellResult RunCell(const std::vector<ExtentList>& rank_regions,
   result.client_messages = client.stats().messages;
   result.messages_per_op =
       static_cast<double>(result.client_messages) / result.ops;
-  for (const auto& iod : cluster.iods) {
-    const IoDaemon::Stats& s = iod->stats();
+  for (ServerId server = 0; server < kServers; ++server) {
+    const IoDaemon::Stats& s = cluster.iod(server).stats();
     result.requests_max = std::max(result.requests_max, s.requests.load());
     result.accesses_total += s.local_accesses.load();
     result.accesses_max =

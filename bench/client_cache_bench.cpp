@@ -25,16 +25,13 @@
 //   --smoke   50 metadata rounds, 256 KiB file (CI)
 //   default   400 rounds, 1 MiB file
 #include <cstdio>
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "bench_util.hpp"
 #include "common/bytes.hpp"
 #include "pvfs/client.hpp"
-#include "pvfs/iod.hpp"
-#include "pvfs/manager.hpp"
-#include "pvfs/transport.hpp"
+#include "runtime/threaded_cluster.hpp"
 
 using namespace pvfs;
 using namespace pvfs::bench;
@@ -47,23 +44,6 @@ constexpr std::uint64_t kFillSeed = 77;
 constexpr std::uint32_t kReadPasses = 4;
 constexpr ByteCount kRegionLength = 4096;
 constexpr ByteCount kRegionStride = 16384;
-
-/// One self-contained in-process deployment per cell, so cells never see
-/// each other's server-side state.
-struct MiniCluster {
-  explicit MiniCluster(std::uint32_t servers) : manager(servers) {
-    std::vector<IoDaemon*> ptrs;
-    iods.reserve(servers);
-    for (ServerId s = 0; s < servers; ++s) {
-      iods.push_back(std::make_unique<IoDaemon>(s, ServerConfig{}));
-      ptrs.push_back(iods.back().get());
-    }
-    transport = std::make_unique<InProcTransport>(&manager, std::move(ptrs));
-  }
-  Manager manager;
-  std::vector<std::unique_ptr<IoDaemon>> iods;
-  std::unique_ptr<InProcTransport> transport;
-};
 
 struct CellConfig {
   const char* name;
@@ -106,8 +86,10 @@ Client::Options CellOptions(const CellConfig& cell) {
 
 CellResult RunCell(const CellConfig& cell, std::uint32_t rounds,
                    ByteCount file_bytes) {
-  MiniCluster cluster(kServers);
-  Client client(cluster.transport.get(), CellOptions(cell));
+  // A fresh in-process deployment per cell, so cells never see each
+  // other's server-side state.
+  runtime::ThreadedCluster cluster(kServers);
+  Client client(&cluster.transport(), CellOptions(cell));
   CellResult result;
   result.rounds = rounds;
   result.read_passes = kReadPasses;

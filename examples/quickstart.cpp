@@ -1,5 +1,5 @@
 // Quickstart: bring up an in-process PVFS cluster (manager + 8 I/O
-// daemons, each on its own event-loop thread), store a striped file, and
+// daemons, called on the client's thread), store a striped file, and
 // read a noncontiguous column pattern back with the paper's list-I/O
 // interface.
 //

@@ -323,18 +323,8 @@ void SocketServer::WorkerLoop() {
       w = std::move(work_.front());
       work_.pop_front();
     }
-    std::vector<std::byte> response;
-    {
-      // By default the daemons are externally synchronized: one service
-      // call at a time per server, exactly as the thread-per-connection
-      // transport guaranteed. An iod with a flow window above 1
-      // (ServerConfig::flow_inflight) drops the mutex and service calls
-      // overlap.
-      std::unique_lock lock(service_mutex_, std::defer_lock);
-      if (options_.serialize_service) lock.lock();
-      if (admission_ != nullptr) admission_->BeginService(w.slot);
-      response = service_(w.frame);
-    }
+    if (admission_ != nullptr) admission_->BeginService(w.slot);
+    std::vector<std::byte> response = service_(w.frame);
     if (admission_ != nullptr) admission_->Finish(w.slot);
     if (options_.correlate_responses && PeekTrailerId(response) != w.corr_id) {
       // The service had no ambient id for this request (corrupt frame that
@@ -533,10 +523,6 @@ SocketCluster::SocketCluster(std::uint32_t server_count,
 SocketServer::Options SocketCluster::IodServerOptions(ServerId s) const {
   SocketServer::Options options;
   options.worker_threads = config_.transport_workers;
-  // The daemon is internally synchronized (atomic stats, locked store,
-  // owned intents): a window above 1 lets the transport run its Serve
-  // calls concurrently.
-  options.serialize_service = config_.flow_inflight <= 1;
   options.correlate_responses = true;
   options.registry = registry_;
   options.metric_labels = {{"server", std::to_string(s)}};

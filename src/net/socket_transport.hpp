@@ -8,9 +8,12 @@
 //                    single epoll set (nonblocking, with per-connection
 //                    read/write buffers and incremental frame
 //                    reassembly), feeding a small fixed worker pool
-//                    through the admission controller. Concurrency scales
-//                    with connections, not threads — the C10K rework of
-//                    the original thread-per-connection server
+//                    through the admission controller. The workers call
+//                    the daemon concurrently: every daemon is internally
+//                    synchronized, and the server never serializes
+//                    service. Concurrency scales with connections, not
+//                    threads — the C10K rework of the original
+//                    thread-per-connection server
 //                    (docs/event-transport.md).
 //   SocketTransport— classic Transport implementation over persistent
 //                    per-daemon connections, one request in flight per
@@ -57,18 +60,10 @@ class SocketServer {
   /// Event-loop tuning. The defaults suit the daemons; tests shrink the
   /// buffers to make backpressure observable.
   struct Options {
-    /// Service worker threads draining the request queue. With
-    /// `serialize_service` (the default), service calls are still
-    /// serialized per server (the daemons are externally synchronized),
-    /// so extra workers overlap framing/correlation work with service,
-    /// not service with itself.
+    /// Service worker threads draining the request queue: at most this
+    /// many service calls run at once. The service must be internally
+    /// synchronized (every daemon is); the server never serializes it.
     std::uint32_t worker_threads = 2;
-    /// Run at most one service call at a time. An iod's service is
-    /// internally synchronized, so SocketCluster turns this off when the
-    /// daemon's flow window is above 1 (ServerConfig::flow_inflight),
-    /// letting the workers run Serve concurrently so in-flight requests
-    /// overlap each other's device time.
-    bool serialize_service = true;
     /// Per-connection bound on dispatched-but-unanswered requests;
     /// reading from a connection pauses at the bound and resumes as
     /// replies drain (multiplexing backpressure). 0 = unbounded.
@@ -178,7 +173,6 @@ class SocketServer {
   ServerId server_;                 // id stamped into busy responses
   Options options_;
 
-  std::mutex service_mutex_;  // daemon event-loop discipline
   std::atomic<bool> stopping_{false};
   std::atomic<std::uint64_t> connections_{0};
   std::atomic<std::uint64_t> max_write_buffered_{0};

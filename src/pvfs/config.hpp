@@ -52,9 +52,10 @@ struct ServerConfig {
   std::uint32_t max_list_regions = kMaxListRegions;
   std::uint32_t max_queue_depth = 0;
   /// Worker threads draining the TCP event loop's request queue
-  /// (net::SocketServer::Options::worker_threads). At window 1 service
-  /// stays serialized per daemon and workers only overlap framing with
-  /// service; with a wider window the workers run Serve concurrently.
+  /// (net::SocketServer::Options::worker_threads): how many service calls
+  /// run at once on the manager and on every iod, at any flow window.
+  /// Daemons are internally synchronized, so any transport may call them
+  /// concurrently; in-process transports call on the client's thread.
   std::uint32_t transport_workers = 2;
 
   // ---- Flow pipeline (docs/async-flows.md) ----
@@ -62,9 +63,8 @@ struct ServerConfig {
   // Each request's runs move in segments of at most `flow_segment_bytes`,
   // at most `flow_inflight` in flight per request. Window 1 (the default)
   // runs segments inline on the serving thread, one after another: the
-  // synchronous iod. A wider window runs them on `store_workers` threads
-  // and lets the TCP transport overlap in-flight requests' network and
-  // device time.
+  // synchronous iod. A wider window runs them on `store_workers` threads,
+  // so one request's device intervals overlap each other.
   ByteCount flow_segment_bytes = 256 * 1024;
   std::uint32_t flow_inflight = 1;
   /// Store-worker threads executing segments when `flow_inflight` > 1

@@ -18,9 +18,9 @@
 // Window 1 (the default) is the synchronous iod: its AsyncStore has no
 // workers, so each segment executes inline on the serving thread. A wider
 // window runs segments on the store-worker pool every in-flight request
-// shares, and the epoll transport stops serializing service, so network
-// and device intervals of different segments — and of different
-// requests — proceed concurrently instead of strictly in series.
+// shares, so network and device intervals of one request's segments
+// proceed concurrently instead of strictly in series. Different requests
+// overlap at every window: the daemon is internally synchronized.
 //
 // Error handling: a flow always drains every submitted segment before
 // returning (buffers are borrowed from the caller), then reports the

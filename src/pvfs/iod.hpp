@@ -9,12 +9,12 @@
 // (src/pvfs/flow) -> scatter. A write is one journaled intent, committed
 // after its last segment lands.
 //
-// Thread safety: Serve (and the message handlers above it) may be called
-// concurrently — the store is internally locked, recovery leaves intents
-// a live request owns alone, and every stat is an atomic — which is what
-// lets the TCP transport stop serializing service when
-// ServerConfig::flow_inflight > 1.
-// The manager remains externally synchronized (one message at a time).
+// Thread safety: internally synchronized; any transport may call Serve
+// (and the message handlers above it) concurrently, at every flow window —
+// the store is internally locked, recovery leaves intents a live request
+// owns alone, and every stat is an atomic. The window only decides
+// whether a request's segments run inline on the serving thread or on the
+// store-worker pool.
 #pragma once
 
 #include <atomic>
@@ -90,8 +90,8 @@ class IoDaemon {
     fault_ = injector;
   }
 
-  /// All counters are atomics: with a window above 1 the transport runs
-  /// Serve calls concurrently. Readers load individual fields as before.
+  /// All counters are atomics: transports run Serve calls concurrently.
+  /// Readers load individual fields as before.
   /// Journal and scrub counters live in the store (store().integrity()).
   struct Stats {
     std::atomic<std::uint64_t> requests = 0;

@@ -29,6 +29,7 @@ Result<Metadata> Manager::Create(const std::string& name,
       options.replication.replicas > striping.pcount) {
     return InvalidArgument("replicas outside [1, pcount]");
   }
+  std::lock_guard lock(mu_);
   if (by_name_.contains(name)) return AlreadyExists("file exists: " + name);
 
   Metadata meta;
@@ -44,12 +45,14 @@ Result<Metadata> Manager::Create(const std::string& name,
 }
 
 Result<Metadata> Manager::Lookup(const std::string& name) const {
+  std::lock_guard lock(mu_);
   auto it = by_name_.find(name);
   if (it == by_name_.end()) return NotFound("no such file: " + name);
   return it->second;
 }
 
 Status Manager::Remove(const std::string& name) {
+  std::lock_guard lock(mu_);
   auto it = by_name_.find(name);
   if (it == by_name_.end()) return NotFound("no such file: " + name);
   locks_.erase(it->second.handle);
@@ -59,12 +62,14 @@ Status Manager::Remove(const std::string& name) {
 }
 
 Result<Metadata> Manager::Stat(FileHandle handle) const {
+  std::lock_guard lock(mu_);
   auto it = by_handle_.find(handle);
   if (it == by_handle_.end()) return NotFound("no such handle");
   return by_name_.at(it->second);
 }
 
 Status Manager::SetSize(FileHandle handle, ByteCount size) {
+  std::lock_guard lock(mu_);
   auto it = by_handle_.find(handle);
   if (it == by_handle_.end()) return NotFound("no such handle");
   Metadata& meta = by_name_.at(it->second);
@@ -78,6 +83,7 @@ Status Manager::SetSize(FileHandle handle, ByteCount size) {
 }
 
 std::vector<std::string> Manager::ListNames(const std::string& prefix) const {
+  std::lock_guard lock(mu_);
   std::vector<std::string> names;
   for (const auto& [name, meta] : by_name_) {
     if (name.size() >= prefix.size() &&
@@ -98,6 +104,7 @@ Extent Manager::NormalizeLockRange(Extent range) {
 
 Status Manager::TryLock(FileHandle handle, Extent range, std::uint64_t owner,
                         bool exclusive) {
+  std::lock_guard lock(mu_);
   if (!by_handle_.contains(handle)) return NotFound("no such handle");
   range = NormalizeLockRange(range);
   std::vector<RangeLock>& held = locks_[handle];
@@ -115,6 +122,7 @@ Status Manager::TryLock(FileHandle handle, Extent range, std::uint64_t owner,
 }
 
 Status Manager::Unlock(FileHandle handle, Extent range, std::uint64_t owner) {
+  std::lock_guard lock(mu_);
   auto it = locks_.find(handle);
   if (it == locks_.end()) return NotFound("no locks on handle");
   range = NormalizeLockRange(range);
@@ -130,8 +138,14 @@ Status Manager::Unlock(FileHandle handle, Extent range, std::uint64_t owner) {
 }
 
 std::size_t Manager::LockCount(FileHandle handle) const {
+  std::lock_guard lock(mu_);
   auto it = locks_.find(handle);
   return it == locks_.end() ? 0 : it->second.size();
+}
+
+std::size_t Manager::file_count() const {
+  std::lock_guard lock(mu_);
+  return by_name_.size();
 }
 
 std::vector<std::byte> Manager::HandleSealedMessage(

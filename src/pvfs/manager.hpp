@@ -3,12 +3,16 @@
 // daemons directly for reads and writes, keeping the manager off the data
 // path.
 //
-// Thread safety: externally synchronized. Transports deliver one message
-// at a time per daemon (a daemon is a single-threaded event loop, as the
-// real mgrd was).
+// Thread safety: internally synchronized; any transport may call
+// concurrently. One mutex guards the namespace, the handle table, the
+// range locks and the handle counter, and every public method takes it
+// for the whole operation. Every stat is an atomic, so ExportMetrics may
+// run while requests are in service.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
+#include <mutex>
 #include <span>
 #include <string>
 #include <unordered_map>
@@ -60,13 +64,13 @@ class Manager {
   std::size_t LockCount(FileHandle handle) const;
 
   std::uint32_t server_count() const { return server_count_; }
-  std::size_t file_count() const { return by_name_.size(); }
+  std::size_t file_count() const;
 
   struct Stats {
-    std::uint64_t requests = 0;
-    std::uint64_t creates = 0;
-    std::uint64_t lookups = 0;
-    std::uint64_t corruptions_detected = 0;  // corrupt frames rejected
+    std::atomic<std::uint64_t> requests = 0;
+    std::atomic<std::uint64_t> creates = 0;
+    std::atomic<std::uint64_t> lookups = 0;
+    std::atomic<std::uint64_t> corruptions_detected = 0;  // corrupt frames
   };
   const Stats& stats() const { return stats_; }
   /// Copy the counters into a registry as "manager.*"; the kStats
@@ -82,6 +86,7 @@ class Manager {
   static Extent NormalizeLockRange(Extent range);
 
   std::uint32_t server_count_;
+  mutable std::mutex mu_;  // guards next_handle_ and the three tables
   FileHandle next_handle_ = 1;
   std::unordered_map<std::string, Metadata> by_name_;
   std::unordered_map<FileHandle, std::string> by_handle_;

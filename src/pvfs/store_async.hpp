@@ -23,7 +23,9 @@
 // `seek_us`/`us_per_mib` knobs restore that cost, charged once per
 // operation (one flow segment) and slept outside the store mutex, so with
 // N workers N device intervals proceed concurrently — the flow pipeline's
-// win — while inline execution pays them strictly in series.
+// win — while inline execution pays one request's intervals strictly in
+// series (concurrent requests, each inline on its own serving thread,
+// still overlap).
 //
 // Lifetime contract: the buffers behind a submitted operation (the read
 // target span) and its CompletionQueue must stay alive until that

@@ -1,24 +1,25 @@
 // Transport: how encoded request bytes reach a daemon and its response
 // comes back. The functional system offers two implementations:
 //
-//   InProcTransport  — direct synchronous dispatch into daemon objects
-//                      (single-address-space "cluster"); a per-endpoint
-//                      mutex serializes concurrent clients exactly like a
-//                      daemon's event loop would.
-//   (runtime/)       — a queue-based threaded transport living in
-//                      src/runtime, giving real cross-thread concurrency.
+//   InProcTransport  — direct synchronous dispatch into daemon objects on
+//                      the caller's thread (single-address-space
+//                      "cluster"; runtime::ThreadedCluster is one with
+//                      admission control in front of every iod).
+//   (net/)           — TCP transports to daemons serving real sockets.
+//
+// Every daemon is internally synchronized, so any transport may call it
+// concurrently; no transport serializes service.
 //
 // The simulator does not use Transport: it consumes planner output and
 // charges modeled time instead (src/simcluster).
 #pragma once
 
-#include <memory>
-#include <mutex>
 #include <span>
 #include <vector>
 
 #include "common/status.hpp"
 #include "common/types.hpp"
+#include "pvfs/admission.hpp"
 #include "pvfs/iod.hpp"
 #include "pvfs/manager.hpp"
 
@@ -50,25 +51,35 @@ class Transport {
   virtual std::uint32_t server_count() const = 0;
 };
 
-/// Direct-dispatch transport over daemon objects owned elsewhere.
+/// Direct-dispatch transport over daemon objects owned elsewhere; calls
+/// run on the caller's thread. `admissions[s]` (when present and not null)
+/// admits every call to iod s exactly as net::SocketServer admits a frame:
+/// a failed TryAdmit answers with a sealed kBusy envelope, otherwise the
+/// call runs between BeginService and Finish.
 class InProcTransport final : public Transport {
  public:
-  InProcTransport(Manager* manager, std::vector<IoDaemon*> iods)
+  InProcTransport(Manager* manager, std::vector<IoDaemon*> iods,
+                  std::vector<AdmissionController*> admissions = {})
       : manager_(manager),
         iods_(std::move(iods)),
-        locks_(std::make_unique<std::mutex[]>(iods_.size() + 1)) {}
+        admissions_(std::move(admissions)) {}
 
   Result<std::vector<std::byte>> Call(
       const Endpoint& dest, std::span<const std::byte> request) override {
-    if (dest.is_manager) {
-      std::lock_guard lock(locks_[0]);
-      return manager_->HandleSealedMessage(request);
-    }
+    if (dest.is_manager) return manager_->HandleSealedMessage(request);
     if (dest.server >= iods_.size()) {
       return NotFound("no such I/O server");
     }
-    std::lock_guard lock(locks_[dest.server + 1]);
-    return iods_[dest.server]->HandleSealedMessage(request);
+    IoDaemon* iod = iods_[dest.server];
+    AdmissionController* admission =
+        dest.server < admissions_.size() ? admissions_[dest.server] : nullptr;
+    if (admission == nullptr) return iod->HandleSealedMessage(request);
+    AdmissionController::Slot slot{};
+    if (!admission->TryAdmit(slot)) return SealedBusyResponse(dest.server);
+    admission->BeginService(slot);
+    std::vector<std::byte> response = iod->HandleSealedMessage(request);
+    admission->Finish(slot);
+    return response;
   }
 
   std::uint32_t server_count() const override {
@@ -78,7 +89,7 @@ class InProcTransport final : public Transport {
  private:
   Manager* manager_;
   std::vector<IoDaemon*> iods_;
-  std::unique_ptr<std::mutex[]> locks_;
+  std::vector<AdmissionController*> admissions_;
 };
 
 }  // namespace pvfs

@@ -2,59 +2,6 @@
 
 namespace pvfs::runtime {
 
-ThreadedCluster::EventLoop::EventLoop(ServiceFn service,
-                                      AdmissionController* admission,
-                                      ServerId server)
-    : service_(std::move(service)),
-      admission_(admission),
-      server_(server),
-      worker_([this](std::stop_token stop) { Loop(stop); }) {}
-
-ThreadedCluster::EventLoop::~EventLoop() {
-  worker_.request_stop();
-  cv_.notify_all();
-}
-
-std::vector<std::byte> ThreadedCluster::EventLoop::Call(
-    std::span<const std::byte> request) {
-  Job job;
-  // Admission happens at enqueue time, on the CLIENT's thread: a full
-  // queue answers busy immediately instead of parking the caller, so the
-  // retry/backoff loop — not the queue — absorbs the overload.
-  if (admission_ != nullptr && !admission_->TryAdmit(job.slot)) {
-    return SealedBusyResponse(server_);
-  }
-  job.request.assign(request.begin(), request.end());
-  std::future<std::vector<std::byte>> response = job.response.get_future();
-  {
-    std::lock_guard lock(mutex_);
-    queue_.push_back(std::move(job));
-  }
-  cv_.notify_one();
-  return response.get();
-}
-
-void ThreadedCluster::EventLoop::Loop(std::stop_token stop) {
-  while (true) {
-    Job job;
-    {
-      std::unique_lock lock(mutex_);
-      cv_.wait(lock, stop, [this] { return !queue_.empty(); });
-      if (queue_.empty()) return;  // stop requested and drained
-      job = std::move(queue_.front());
-      queue_.pop_front();
-    }
-    if (admission_ != nullptr) admission_->BeginService(job.slot);
-    std::vector<std::byte> response = service_(job.request);
-    // Release the queue slot BEFORE publishing the response: a client
-    // that has seen its reply must be able to observe the freed slot
-    // (its immediate resend finding the queue still "full" would turn
-    // depth-1 configurations into livelock under lock-step retries).
-    if (admission_ != nullptr) admission_->Finish(job.slot);
-    job.response.set_value(std::move(response));
-  }
-}
-
 ThreadedCluster::ThreadedCluster(std::uint32_t server_count,
                                  std::uint32_t max_list_regions)
     : ThreadedCluster(server_count,
@@ -64,30 +11,17 @@ ThreadedCluster::ThreadedCluster(std::uint32_t server_count,
                                  const ServerConfig& config,
                                  obs::Registry* registry)
     : manager_(server_count) {
-  iods_.reserve(server_count);
-  admissions_.reserve(server_count);
-  iod_loops_.reserve(server_count);
+  std::vector<IoDaemon*> iods;
+  std::vector<AdmissionController*> admissions;
   for (ServerId s = 0; s < server_count; ++s) {
     iods_.push_back(std::make_unique<IoDaemon>(s, config));
     admissions_.push_back(std::make_unique<AdmissionController>(
         s, config.max_queue_depth, registry));
+    iods.push_back(iods_.back().get());
+    admissions.push_back(admissions_.back().get());
   }
-  manager_loop_ = std::make_unique<EventLoop>(
-      [this](std::span<const std::byte> req) {
-        return manager_.HandleSealedMessage(req);
-      },
-      nullptr, 0);
-  for (ServerId s = 0; s < server_count; ++s) {
-    IoDaemon* iod = iods_[s].get();
-    iod_loops_.push_back(std::make_unique<EventLoop>(
-        [iod](std::span<const std::byte> req) {
-          return iod->HandleSealedMessage(req);
-        },
-        admissions_[s].get(), s));
-  }
-  transport_ = std::make_unique<QueueTransport>(this);
+  transport_ = std::make_unique<InProcTransport>(
+      &manager_, std::move(iods), std::move(admissions));
 }
-
-ThreadedCluster::~ThreadedCluster() = default;
 
 }  // namespace pvfs::runtime

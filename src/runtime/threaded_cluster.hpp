@@ -1,20 +1,16 @@
-// ThreadedCluster: a functional PVFS deployment inside one process with
-// real concurrency — the manager and each I/O daemon run as separate
-// event-loop threads draining FIFO request queues, and any number of client threads
-// issue blocking RPCs against them. This is the closest in-process
-// analogue of the paper's deployment (clients + mgr + iods on separate
-// nodes), and what the integration tests and examples run on.
+// ThreadedCluster: a functional PVFS deployment inside one process for any
+// number of client threads — the manager, the I/O daemons and one
+// admission controller per iod, behind one InProcTransport. Calls run on
+// the calling client's thread. Every daemon is internally synchronized,
+// so concurrent clients are served concurrently, and a bounded admission
+// queue sheds excess calls with retryable kBusy at call time. This is the
+// closest in-process analogue of the paper's deployment (clients + mgr +
+// iods on separate nodes), and what the integration tests and examples
+// run on.
 #pragma once
 
-#include <condition_variable>
 #include <cstdint>
-#include <deque>
-#include <functional>
-#include <future>
 #include <memory>
-#include <mutex>
-#include <span>
-#include <thread>
 #include <vector>
 
 #include "pvfs/admission.hpp"
@@ -36,7 +32,6 @@ class ThreadedCluster {
   /// `registry` (default: obs::Registry::Global()).
   ThreadedCluster(std::uint32_t server_count, const ServerConfig& config,
                   obs::Registry* registry = nullptr);
-  ~ThreadedCluster();
 
   ThreadedCluster(const ThreadedCluster&) = delete;
   ThreadedCluster& operator=(const ThreadedCluster&) = delete;
@@ -48,9 +43,9 @@ class ThreadedCluster {
   IoDaemon& iod(ServerId s) { return *iods_[s]; }
 
   /// Re-replicate data for daemon `s` from the surviving replicas (run
-  /// after a crash-restart; see pvfs/repair.hpp). Goes through the queue
-  /// transport, so repair traffic serializes with in-flight client I/O on
-  /// each daemon's event loop exactly as client requests do.
+  /// after a crash-restart; see pvfs/repair.hpp). Goes through the
+  /// cluster's transport, so repair calls are admitted and served
+  /// alongside in-flight client I/O exactly as client requests are.
   Result<RepairReport> RepairIod(ServerId s) {
     return RepairRestartedIod(*transport_, s);
   }
@@ -60,69 +55,10 @@ class ThreadedCluster {
   }
 
  private:
-  struct Job {
-    std::vector<std::byte> request;
-    std::promise<std::vector<std::byte>> response;
-    AdmissionController::Slot slot;
-  };
-
-  /// One daemon's event loop: a queue, a worker thread, and the service
-  /// function the worker applies to each request. When an admission
-  /// controller is attached, enqueueing past its bound is refused with a
-  /// sealed kBusy response instead of growing the queue.
-  class EventLoop {
-   public:
-    using ServiceFn =
-        std::function<std::vector<std::byte>(std::span<const std::byte>)>;
-
-    EventLoop(ServiceFn service, AdmissionController* admission,
-              ServerId server);
-
-    ~EventLoop();
-
-    std::vector<std::byte> Call(std::span<const std::byte> request);
-
-   private:
-    void Loop(std::stop_token stop);
-
-    ServiceFn service_;
-    AdmissionController* admission_;
-    ServerId server_;
-    std::mutex mutex_;
-    std::condition_variable_any cv_;
-    std::deque<Job> queue_;
-    std::jthread worker_;
-  };
-
-  class QueueTransport final : public Transport {
-   public:
-    explicit QueueTransport(ThreadedCluster* cluster) : cluster_(cluster) {}
-
-    Result<std::vector<std::byte>> Call(
-        const Endpoint& dest, std::span<const std::byte> request) override {
-      if (dest.is_manager) {
-        return cluster_->manager_loop_->Call(request);
-      }
-      if (dest.server >= cluster_->iods_.size()) {
-        return NotFound("no such I/O server");
-      }
-      return cluster_->iod_loops_[dest.server]->Call(request);
-    }
-
-    std::uint32_t server_count() const override {
-      return cluster_->server_count();
-    }
-
-   private:
-    ThreadedCluster* cluster_;
-  };
-
   Manager manager_;
   std::vector<std::unique_ptr<IoDaemon>> iods_;
   std::vector<std::unique_ptr<AdmissionController>> admissions_;
-  std::unique_ptr<EventLoop> manager_loop_;
-  std::vector<std::unique_ptr<EventLoop>> iod_loops_;
-  std::unique_ptr<QueueTransport> transport_;
+  std::unique_ptr<InProcTransport> transport_;
 };
 
 }  // namespace pvfs::runtime

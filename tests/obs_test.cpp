@@ -7,9 +7,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cmath>
 #include <cstdint>
+#include <string>
+#include <thread>
 #include <vector>
 
 #include "common/bytes.hpp"
@@ -466,6 +469,53 @@ TEST(Stats, CountersReadWhileAsyncOpsRun) {
   EXPECT_EQ(serial.stats().messages, kOps * 4);
   client.ExportMetrics(reg);
   EXPECT_EQ(reg.Counter("client.messages").value(), kOps * 4);
+}
+
+// pvfsd's "stats" command exports every daemon's counters from the stdin
+// thread while the socket workers serve requests, so the manager's export
+// must be safe against its own service (atomic counters, tables under the
+// manager's mutex); TSan checks it.
+TEST(Stats, ManagerExportWhileServing) {
+  constexpr std::uint32_t kServers = 4;
+  constexpr int kThreads = 4;
+  constexpr int kRounds = 20;
+  auto cluster = net::SocketCluster::Start(kServers);
+  ASSERT_TRUE(cluster.ok()) << cluster.status().ToString();
+  net::SocketCluster& daemons = **cluster;
+
+  std::atomic<int> running{kThreads};
+  std::atomic<int> failures{0};
+  std::vector<std::jthread> clients;
+  for (int t = 0; t < kThreads; ++t) {
+    clients.emplace_back([&, t] {
+      auto transport = daemons.Connect();
+      Client client(transport.get());
+      const Extent range{0, 4096};
+      for (int r = 0; r < kRounds; ++r) {
+        const std::string name =
+            "c" + std::to_string(t) + "-" + std::to_string(r);
+        auto fd = client.Create(name, Striping{0, kServers, 4096});
+        const bool ok = fd.ok() && client.Stat(*fd).ok() &&
+                        client.LockRange(*fd, range).ok() &&
+                        client.UnlockRange(*fd, range).ok() &&
+                        client.Close(*fd).ok() && client.Remove(name).ok();
+        if (!ok) ++failures;
+      }
+      --running;
+    });
+  }
+  obs::Registry reg;
+  while (running.load() > 0) {
+    daemons.manager().ExportMetrics(reg);
+    for (ServerId s = 0; s < kServers; ++s) daemons.iod(s).ExportMetrics(reg);
+  }
+  clients.clear();  // joins
+
+  EXPECT_EQ(failures.load(), 0);
+  daemons.manager().ExportMetrics(reg);
+  EXPECT_EQ(reg.Counter("manager.creates").value(),
+            static_cast<std::uint64_t>(kThreads * kRounds));
+  EXPECT_EQ(reg.Gauge("manager.files").value(), 0);
 }
 
 TEST(Stats, ComponentsExportMetricsIntoOneRegistry) {

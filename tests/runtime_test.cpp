@@ -1,14 +1,23 @@
-// Parallel runtime tests: SPMD groups, barriers, and the threaded cluster
-// with genuinely concurrent clients against daemon event loops.
+// Parallel runtime tests: SPMD groups, barriers, the threaded cluster
+// with genuinely concurrent clients, and concurrent service inside each
+// daemon on every transport.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <barrier>
+#include <chrono>
+#include <memory>
 #include <numeric>
+#include <string>
+#include <thread>
+#include <vector>
 
 #include "common/bytes.hpp"
 #include "io/method.hpp"
+#include "net/socket_transport.hpp"
 #include "runtime/spmd.hpp"
 #include "runtime/threaded_cluster.hpp"
+#include "test_cluster.hpp"
 #include "workloads/cyclic.hpp"
 
 namespace pvfs::runtime {
@@ -196,6 +205,91 @@ TEST(ThreadedCluster, SievingWritersSerializeAcrossThreads) {
             << "rank " << r << " piece " << i;
       }
     }
+  }
+}
+
+// ---- Daemon self-synchronization --------------------------------------------
+
+// Every daemon synchronizes itself and no transport serializes service, so
+// at flow window 1 (segments run inline on the serving thread) concurrent
+// requests to one iod still overlap their modeled device time. Four
+// single-segment writes that each pay a 200 ms seek take about one seek
+// in process and two over TCP (two service workers per daemon); a daemon
+// serving one request at a time needs four.
+constexpr int kWriters = 4;
+constexpr ByteCount kWriteBytes = 4096;
+const ServerConfig kSlowDevice{.flow_inflight = 1, .store_seek_us = 200'000};
+
+/// Writer t writes its own file `prefix`<t>, striped on iod 0 only,
+/// through `transports[t]`; every write starts behind one barrier. Expects
+/// the write phase under 600 ms and every file to read back bit-exact.
+void ExpectWritesOverlap(const std::vector<Transport*>& transports,
+                         const std::string& prefix) {
+  std::barrier start(kWriters + 1);
+  std::barrier written(kWriters + 1);
+  std::atomic<int> failures{0};
+  std::vector<std::jthread> writers;
+  for (int t = 0; t < kWriters; ++t) {
+    writers.emplace_back([&, t] {
+      Client client(transports[t]);
+      auto fd = client.Create(prefix + std::to_string(t),
+                              Striping{0, 1, kWriteBytes});
+      ByteBuffer data(kWriteBytes);
+      FillPattern(data, 70 + t, 0);
+      start.arrive_and_wait();
+      const bool wrote = fd.ok() && client.Write(*fd, 0, data).ok();
+      written.arrive_and_wait();
+      ByteBuffer back(kWriteBytes);
+      if (!wrote || !client.Read(*fd, 0, back).ok() || back != data ||
+          !client.Close(*fd).ok()) {
+        ++failures;
+      }
+    });
+  }
+  start.arrive_and_wait();
+  const auto begin = std::chrono::steady_clock::now();
+  written.arrive_and_wait();
+  const auto elapsed = std::chrono::steady_clock::now() - begin;
+  writers.clear();  // joins after the read-back
+  EXPECT_EQ(failures.load(), 0);
+  EXPECT_LT(elapsed, std::chrono::milliseconds(600))
+      << "write phase took "
+      << std::chrono::duration_cast<std::chrono::milliseconds>(elapsed)
+             .count()
+      << " ms: the daemon served one request at a time";
+}
+
+TEST(DaemonConcurrency, WindowOneServiceOverlaps) {
+  {
+    SCOPED_TRACE("InProcCluster");
+    testutil::InProcCluster cluster(2, kSlowDevice);
+    ExpectWritesOverlap(
+        std::vector<Transport*>(kWriters, cluster.transport.get()), "w");
+  }
+  {
+    SCOPED_TRACE("ThreadedCluster");
+    obs::Registry registry;
+    ThreadedCluster cluster(2, kSlowDevice, &registry);
+    ExpectWritesOverlap(
+        std::vector<Transport*>(kWriters, &cluster.transport()), "w");
+  }
+  obs::Registry registry;
+  auto cluster = net::SocketCluster::Start(2, kSlowDevice, 0, &registry);
+  ASSERT_TRUE(cluster.ok()) << cluster.status().ToString();
+  {
+    SCOPED_TRACE("SocketCluster, one classic transport per thread");
+    std::vector<std::unique_ptr<net::SocketTransport>> owned;
+    std::vector<Transport*> transports;
+    for (int t = 0; t < kWriters; ++t) {
+      owned.push_back((*cluster)->Connect());
+      transports.push_back(owned.back().get());
+    }
+    ExpectWritesOverlap(transports, "classic");
+  }
+  {
+    SCOPED_TRACE("SocketCluster, one multiplexed transport");
+    auto mux = (*cluster)->Connect(net::ClientConfig{.multiplex = true});
+    ExpectWritesOverlap(std::vector<Transport*>(kWriters, mux.get()), "mux");
   }
 }
 
